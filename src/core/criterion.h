@@ -22,7 +22,12 @@ uint64_t IntraClusterLinks(const LinkMatrix& links,
                            const std::vector<PointIndex>& members);
 
 /// Evaluates E_l for a clustering against point-level link counts.
-/// Outlier points contribute nothing.
+/// Outlier points contribute nothing. On a frozen matrix whose size matches
+/// the assignment, the intra-cluster sums come from one pass over the CSR
+/// rows through `clustering.assignment`, which must be the inverse of
+/// `clustering.clusters` (as Clustering::FromAssignment and the merge
+/// engines build it); otherwise each cluster is summed by
+/// IntraClusterLinks. Both give the same value bit for bit.
 double CriterionFunction(const Clustering& clustering, const LinkMatrix& links,
                          const GoodnessMeasure& goodness);
 

@@ -134,9 +134,12 @@ class FlatMergeEngine {
     result.stats.merge_seconds = merge_timer.ElapsedSeconds();
 
     BuildClustering(&result);
+    {
+      diag::ScopedTimer criterion_timer(metrics_, "stage.criterion");
+      result.stats.criterion_value =
+          CriterionFunction(result.clustering, links, goodness_);
+    }
     result.stats.total_seconds = total_timer.ElapsedSeconds();
-    result.stats.criterion_value =
-        CriterionFunction(result.clustering, links, goodness_);
     if (metrics_ != nullptr) {
       metrics_->RecordSeconds("stage.merge", result.stats.merge_seconds);
       metrics_->RecordSeconds("stage.merge.relink", relink_seconds_);

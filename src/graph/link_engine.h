@@ -9,16 +9,32 @@
 //     link(p, q) = |N(p) ∩ N(q)| = popcount(row_p AND row_q)
 //
 // with the runtime-dispatched AVX2 nibble-LUT popcount kernel
-// (similarity/packed.h IntersectPopcount). Sparsity is still exploited:
-// candidates for row p are enumerated as the bitwise OR of its neighbors'
-// rows — exactly the points sharing at least one neighbor with p, i.e.
-// exactly the pairs with link > 0 — so no popcount sweep is ever wasted on
-// a zero pair.
+// (similarity/packed.h IntersectPopcount).
 //
-// The plane degrades quadratically, though: every popcount sweeps ⌈n/64⌉
-// words whatever the counts, and the OR-mask enumeration alone costs
-// Σ mᵢ · ⌈n/64⌉ word reads. So the engine carries a second exact pass for
-// scale:
+// The plane is laid out in a locality order. Points are relabeled by a
+// breadth-first order of the neighbor graph (components in ascending order
+// of their smallest id, neighbors visited in ascending id), so a cluster's
+// points take consecutive labels and each row's bits fall in a short run
+// of words. Each row records that nonzero word span [lo, hi), and every
+// sweep stays inside it:
+//
+//   * candidates for point p are enumerated as the bitwise OR of its
+//     neighbors' rows, each over its own span — exactly the points sharing
+//     at least one neighbor with p, i.e. exactly the pairs with link > 0,
+//     so no popcount is ever wasted on a zero pair;
+//   * each candidate pair is popcounted over [max(lo_p, lo_q),
+//     min(hi_p, hi_q)) only;
+//   * counts are collected by original id in a dense per-worker array and
+//     emitted in ascending id by a first-touch bitmap sweep, so rows come
+//     out sorted with no comparison sort.
+//
+// links.span_words reports Σ (hi − lo) over the rows: how much of the
+// n·⌈n/64⌉-word plane the product actually touched.
+//
+// The plane still degrades quadratically: it is n·⌈n/64⌉ words whatever
+// the counts, and when the graph has no cluster structure the spans stay
+// wide and the OR-mask enumeration costs up to Σ mᵢ · ⌈n/64⌉ word reads.
+// So the engine carries a second exact pass for scale:
 //
 //   * dense ScanCount scatter — per row p, walk each neighbor's adjacency
 //     suffix beyond p and increment a dense per-worker count array, marking
@@ -29,15 +45,16 @@
 //     updates, and O(n) scratch per worker instead of an O(n²/64) plane.
 //
 // kAuto picks the scatter exactly when its total increment count undercuts
-// the plane's OR-mask word reads alone (Σᵢ C(mᵢ, 2) < Σᵢ mᵢ · ⌈n/64⌉ — a
-// certain win, both sides exact and data-only), which in practice flips
-// from plane to scatter once average degree falls below ~2·⌈n/64⌉. Both
-// passes produce the same UpperRow stream.
+// the plane's worst-case OR-mask word reads (Σᵢ C(mᵢ, 2) < Σᵢ mᵢ · ⌈n/64⌉,
+// both sides exact and data-only), which in practice flips from plane to
+// scatter once average degree falls below ~2·⌈n/64⌉. Both passes produce
+// the same stream of upper rows in original ids.
 //
-// Every row's candidate set and counts depend only on the input graph, and
-// the mirror/CSR assembly pass is serial and index-ordered, so the frozen
-// CSR rows are byte-identical to LinkMatrix::Freeze() of the Fig. 4 hashed
-// oracle at any thread count (enforced by tests/link_engine_test.cc).
+// The BFS order, every row's candidate set and its counts depend only on
+// the input graph, and the mirror/CSR assembly pass is serial and
+// index-ordered, so the frozen CSR rows are byte-identical to
+// LinkMatrix::Freeze() of the Fig. 4 hashed oracle at any thread count
+// (enforced by tests/link_engine_test.cc).
 //
 // Packing is gated by a memory budget (kDefaultPackedBytes, shared with the
 // neighbor engine): an n-point graph needs n·⌈n/64⌉ plane words, and when
@@ -91,9 +108,10 @@ struct PackedLinkOptions {
   /// Metrics sink (may be null): links.candidate_pairs (pairs sharing ≥ 1
   /// neighbor; candidate enumeration is exact on both passes, so this
   /// equals the stored non-zero pairs), links.pairs_counted (stored
-  /// non-zero pairs), links.scatter_pass (1 when the dense ScanCount pass
-  /// ran), links.fallback_hashed (1 when the budget forced the hashed
-  /// path) and the stage.links.pack timer.
+  /// non-zero pairs), links.span_words (Σ of the plane rows' nonzero word
+  /// spans after the BFS relabeling; plane pass only), links.scatter_pass
+  /// (1 when the dense ScanCount pass ran), links.fallback_hashed (1 when
+  /// the budget forced the hashed path) and the stage.links.pack timer.
   diag::MetricsRegistry* metrics = nullptr;
 };
 

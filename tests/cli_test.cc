@@ -362,7 +362,8 @@ TEST_F(CliTest, MetricsJsonGoldenSchema) {
   ASSERT_FALSE(json.empty());
 
   // Stage list, with values unmasked — stages are stable across machines.
-  EXPECT_NE(json.find("\"stages\": [\"links\", \"links.pack\", \"merge\", "
+  EXPECT_NE(json.find("\"stages\": [\"criterion\", \"links\", "
+                      "\"links.pack\", \"merge\", "
                       "\"merge.heap\", \"merge.relink\", "
                       "\"merge.relink.parallel\", \"neighbors\", "
                       "\"neighbors.pack\", \"total\"]"),
@@ -376,6 +377,7 @@ TEST_F(CliTest, MetricsJsonGoldenSchema) {
       "version",         "tool",
       "stages",          "timers",
       "counters",        "gauges",
+      "stage.criterion",
       "stage.links",     "stage.links.pack",
       "stage.merge",
       "stage.merge.heap",
@@ -397,6 +399,7 @@ TEST_F(CliTest, MetricsJsonGoldenSchema) {
       "links.total",
       "links.candidate_pairs",
       "links.pairs_counted",
+      "links.span_words",
       "heap.global_peak",
       "heap.local_entries_peak",
       "heap.ops",

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <tuple>
@@ -359,6 +360,140 @@ TEST(LinkEngineShapeTest, ThetaExtremesMatchOracles) {
       ExpectMatchesAllOracles(graph, ComputeLinksPacked(graph, opt));
     }
   }
+}
+
+// --------------------------------------------------------- locality order --
+
+// The plane pass relabels points in BFS order and works on each row's
+// nonzero word span. These shapes start with wide spans (neighbors spread
+// over the whole id range) and exercise the relabeling's edge cases.
+
+/// k interleaved components: point i belongs to component i mod k, and two
+/// members of a component are adjacent with probability `density`. Points
+/// with i mod isolated_every == isolated_every − 1 stay isolated (0 = none).
+NeighborGraph InterleavedComponents(size_t n, size_t k, double density,
+                                    uint64_t seed, size_t isolated_every) {
+  Rng rng(seed);
+  const auto isolated = [&](size_t i) {
+    return isolated_every != 0 && i % isolated_every == isolated_every - 1;
+  };
+  NeighborGraph g;
+  g.nbrlist.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (isolated(i)) continue;
+    for (size_t j = i + k; j < n; j += k) {
+      if (isolated(j) || !rng.Bernoulli(density)) continue;
+      g.nbrlist[i].push_back(static_cast<PointIndex>(j));
+      g.nbrlist[j].push_back(static_cast<PointIndex>(i));
+    }
+  }
+  return g;  // i ascending appends keep every list sorted
+}
+
+/// A Hamiltonian path through a shuffled id sequence: BFS from id 0 walks
+/// both directions, up to n levels deep.
+NeighborGraph ScrambledPath(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<PointIndex> walk(n);
+  for (size_t i = 0; i < n; ++i) walk[i] = static_cast<PointIndex>(i);
+  rng.Shuffle(walk);
+  NeighborGraph g;
+  g.nbrlist.resize(n);
+  for (size_t t = 0; t + 1 < n; ++t) {
+    g.nbrlist[walk[t]].push_back(walk[t + 1]);
+    g.nbrlist[walk[t + 1]].push_back(walk[t]);
+  }
+  for (auto& nbrs : g.nbrlist) std::sort(nbrs.begin(), nbrs.end());
+  return g;
+}
+
+/// Σ over rows of the nonzero word span in the original id order.
+uint64_t OriginalSpanWords(const NeighborGraph& g) {
+  uint64_t total = 0;
+  for (const auto& nbrs : g.nbrlist) {
+    if (!nbrs.empty()) total += nbrs.back() / 64 - nbrs.front() / 64 + 1;
+  }
+  return total;
+}
+
+TEST(LinkEngineLocalityTest, RelabeledPlaneMatchesOraclesAtEveryThreadCount) {
+  struct Shape {
+    std::string name;
+    NeighborGraph graph;
+  };
+  const uint64_t seed = 20261017;
+  ROCK_TRACE_SEED(seed);
+  std::vector<Shape> shapes;
+  // n = 200 and 129 end in a partial last word (8 bits and 1 bit); ids 63
+  // and 127 sit on word boundaries and have neighbors in every dense shape.
+  for (const size_t n : {200u, 129u}) {
+    for (const size_t k : {2u, 5u}) {
+      shapes.push_back({"interleaved n=" + std::to_string(n) +
+                            " k=" + std::to_string(k),
+                        InterleavedComponents(n, k, 0.6, seed + n + k, 0)});
+      shapes.push_back({"interleaved+isolated n=" + std::to_string(n) +
+                            " k=" + std::to_string(k),
+                        InterleavedComponents(n, k, 0.6, seed + n * k, 7)});
+    }
+  }
+  shapes.push_back({"scrambled path", ScrambledPath(300, seed)});
+  // Word-boundary clique: 63 | 64 and 127 | 128 straddle words, and 63 and
+  // 127 (≡ 63 mod 64) are the rows whose upper partners start a new word.
+  {
+    NeighborGraph g = InterleavedComponents(190, 3, 0.3, seed, 11);
+    const std::vector<PointIndex> ring = {0, 62, 63, 64, 127, 128, 189};
+    for (const PointIndex a : ring) {
+      for (const PointIndex b : ring) {
+        if (a == b) continue;
+        auto& nbrs = g.nbrlist[a];
+        if (!std::binary_search(nbrs.begin(), nbrs.end(), b)) {
+          nbrs.insert(std::lower_bound(nbrs.begin(), nbrs.end(), b), b);
+        }
+      }
+    }
+    shapes.push_back({"word-boundary clique", std::move(g)});
+  }
+
+  for (const Shape& s : shapes) {
+    SCOPED_TRACE(s.name);
+    for (const size_t threads : {1u, 4u, 8u}) {
+      SCOPED_TRACE(::testing::Message() << "threads = " << threads);
+      diag::MetricsRegistry registry;
+      PackedLinkOptions opt;
+      opt.num_threads = threads;
+      opt.row_chunk = 3;
+      opt.strategy = PackedLinkStrategy::kPlane;
+      opt.metrics = &registry;
+      const LinkMatrix packed = ComputeLinksPacked(s.graph, opt);
+      ExpectMatchesAllOracles(s.graph, packed);
+      const diag::RunMetrics m = registry.Snapshot();
+      EXPECT_EQ(m.CounterOr("links.candidate_pairs"),
+                m.CounterOr("links.pairs_counted"));
+      EXPECT_EQ(m.CounterOr("links.pairs_counted"), packed.NumNonZeroPairs());
+      EXPECT_LE(m.CounterOr("links.span_words"),
+                s.graph.size() * ((s.graph.size() + 63) / 64));
+    }
+  }
+}
+
+// BFS gathers each interleaved component into consecutive labels, so the
+// rows' spans shrink; links.span_words reports the narrowed total.
+TEST(LinkEngineLocalityTest, RelabelingNarrowsInterleavedSpans) {
+  const uint64_t seed = 5;
+  ROCK_TRACE_SEED(seed);
+  const NeighborGraph graph = InterleavedComponents(640, 5, 0.5, seed, 0);
+  diag::MetricsRegistry registry;
+  PackedLinkOptions opt;
+  opt.strategy = PackedLinkStrategy::kPlane;
+  opt.metrics = &registry;
+  LinkMatrix oracle = ComputeLinks(graph);
+  oracle.Freeze();
+  ExpectFrozenRowsIdentical(ComputeLinksPacked(graph, opt), oracle);
+  // Each component holds 128 points: 2–3 words once contiguous, against all
+  // 10 words in id order.
+  const uint64_t span_words = registry.Snapshot().CounterOr("links.span_words");
+  EXPECT_EQ(OriginalSpanWords(graph), 640u * 10u);
+  EXPECT_LE(span_words, 640u * 3u);
 }
 
 // ---------------------------------------------------------- budget / fallback --

@@ -212,6 +212,58 @@ TEST(CriterionTest, OutliersContributeNothing) {
                    CriterionFunction(without, links, g));
 }
 
+// The one-pass frozen-CSR criterion must equal, to the last bit, the
+// per-cluster IntraClusterLinks sum combined in cluster order — on frozen
+// and hash-row matrices alike, with outliers, singletons and an empty
+// cluster in the clustering.
+TEST(CriterionTest, OnePassMatchesPerClusterIntraLinkSum) {
+  const uint64_t seed = 20261017;
+  ROCK_SEEDED_RNG(rng, seed);
+  const size_t n = 150;
+  NeighborGraph graph;
+  graph.nbrlist.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      // Denser inside the five blocks i mod 5 so clusters carry links.
+      if (rng.Bernoulli(i % 5 == j % 5 ? 0.5 : 0.05)) {
+        graph.nbrlist[i].push_back(static_cast<PointIndex>(j));
+        graph.nbrlist[j].push_back(static_cast<PointIndex>(i));
+      }
+    }
+  }
+  const LinkMatrix hashed = ComputeLinks(graph);
+  LinkMatrix frozen = ComputeLinks(graph);
+  frozen.Freeze();
+  ASSERT_FALSE(hashed.frozen());
+  ASSERT_GT(frozen.TotalLinks(), 0u);
+
+  std::vector<ClusterIndex> assignment(n);
+  for (size_t p = 0; p < n; ++p) {
+    assignment[p] = static_cast<ClusterIndex>(p % 5);
+    if (rng.Bernoulli(0.1)) assignment[p] = kUnassigned;  // outliers
+  }
+  assignment[3] = 5;  // a singleton cluster
+  Clustering clustering = Clustering::FromAssignment(std::move(assignment));
+  clustering.clusters.emplace_back();  // an empty cluster
+  ASSERT_EQ(clustering.clusters[5].size(), 1u);
+
+  for (const double theta : {0.3, 0.7}) {
+    SCOPED_TRACE(::testing::Message() << "theta = " << theta);
+    RockOptions opt;
+    opt.theta = theta;
+    const GoodnessMeasure g(opt);
+    double want = 0.0;
+    for (const auto& members : clustering.clusters) {
+      if (members.empty()) continue;
+      want += static_cast<double>(members.size()) *
+              static_cast<double>(IntraClusterLinks(hashed, members)) /
+              g.ExpectedIntraLinks(members.size());
+    }
+    EXPECT_EQ(CriterionFunction(clustering, frozen, g), want);
+    EXPECT_EQ(CriterionFunction(clustering, hashed, g), want);
+  }
+}
+
 // ------------------------------------------------------------- Clustering --
 
 TEST(ClusteringTest, FromAssignmentCompactsGaps) {
