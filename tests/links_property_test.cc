@@ -222,22 +222,26 @@ TEST(LinkMatrixCsrTest, FuzzFlatRowsMatchHashRows) {
 
 // Both link engines — hashed scatter + Freeze() and the bit-plane packed
 // path — must satisfy the same structural laws. Parameterized so each law
-// runs verbatim against each engine's frozen output.
+// runs verbatim against each engine's frozen output. The parameter is plain
+// data with no pointers or padding: the test names that gtest lists embed a
+// byte dump of it, and those names must be the same on every build.
+enum class LinkEngineKind : uint64_t { kHashed, kPacked };
+
 struct EngineCase {
-  const char* name;
-  LinkMatrix (*build)(const NeighborGraph&);
+  LinkEngineKind engine;
+  uint32_t num_threads;  // packed engine only
+  uint32_t row_chunk;    // packed engine only
 };
 
-LinkMatrix BuildHashed(const NeighborGraph& g) {
-  LinkMatrix links = ComputeLinks(g);
-  links.Freeze();
-  return links;
-}
-
-LinkMatrix BuildPacked(const NeighborGraph& g) {
+LinkMatrix BuildLinks(const EngineCase& c, const NeighborGraph& g) {
+  if (c.engine == LinkEngineKind::kHashed) {
+    LinkMatrix links = ComputeLinks(g);
+    links.Freeze();
+    return links;
+  }
   PackedLinkOptions opt;
-  opt.num_threads = 4;
-  opt.row_chunk = 2;
+  opt.num_threads = c.num_threads;
+  opt.row_chunk = c.row_chunk;
   return ComputeLinksPacked(g, opt);
 }
 
@@ -250,7 +254,7 @@ TEST_P(LinkEngineInvariantTest, FrozenRowsAreSymmetric) {
   for (double theta : {0.3, 0.6}) {
     SCOPED_TRACE(::testing::Message() << "theta = " << theta);
     const NeighborGraph g = RandomGraph(seed, theta);
-    const LinkMatrix links = GetParam().build(g);
+    const LinkMatrix links = BuildLinks(GetParam(), g);
     ASSERT_TRUE(links.frozen());
     for (size_t i = 0; i < links.size(); ++i) {
       const auto p = static_cast<PointIndex>(i);
@@ -272,7 +276,7 @@ TEST_P(LinkEngineInvariantTest, DiagonalStaysEmpty) {
   const uint64_t seed = 313;
   ROCK_TRACE_SEED(seed);
   const NeighborGraph g = RandomGraph(seed, 0.4);
-  const LinkMatrix links = GetParam().build(g);
+  const LinkMatrix links = BuildLinks(GetParam(), g);
   for (size_t i = 0; i < links.size(); ++i) {
     const auto p = static_cast<PointIndex>(i);
     EXPECT_EQ(links.Count(p, p), 0u);
@@ -292,7 +296,7 @@ TEST_P(LinkEngineInvariantTest, TotalLinksEqualSumOfDegreeChoose2) {
   for (double theta : {0.0, 0.3, 0.6, 1.0}) {
     SCOPED_TRACE(::testing::Message() << "theta = " << theta);
     const NeighborGraph g = RandomGraph(seed, theta);
-    const LinkMatrix links = GetParam().build(g);
+    const LinkMatrix links = BuildLinks(GetParam(), g);
     uint64_t want = 0;
     for (size_t i = 0; i < g.size(); ++i) {
       const uint64_t m = g.Degree(i);
@@ -309,9 +313,9 @@ TEST_P(LinkEngineInvariantTest, FreezeIsIdempotentOnEngineOutput) {
   const uint64_t seed = 331;
   ROCK_TRACE_SEED(seed);
   const NeighborGraph g = RandomGraph(seed, 0.5);
-  LinkMatrix links = GetParam().build(g);
+  LinkMatrix links = BuildLinks(GetParam(), g);
   ASSERT_TRUE(links.frozen());
-  const LinkMatrix reference = GetParam().build(g);
+  const LinkMatrix reference = BuildLinks(GetParam(), g);
   links.Freeze();  // must not disturb the CSR arrays
   ASSERT_TRUE(links.frozen());
   for (size_t i = 0; i < links.size(); ++i) {
@@ -326,12 +330,14 @@ TEST_P(LinkEngineInvariantTest, FreezeIsIdempotentOnEngineOutput) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, LinkEngineInvariantTest,
-                         ::testing::Values(EngineCase{"hashed", &BuildHashed},
-                                           EngineCase{"packed", &BuildPacked}),
-                         [](const ::testing::TestParamInfo<EngineCase>& p) {
-                           return std::string(p.param.name);
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Engines, LinkEngineInvariantTest,
+    ::testing::Values(EngineCase{LinkEngineKind::kHashed, 0, 0},
+                      EngineCase{LinkEngineKind::kPacked, 4, 2}),
+    [](const ::testing::TestParamInfo<EngineCase>& p) {
+      return std::string(p.param.engine == LinkEngineKind::kHashed ? "hashed"
+                                                                    : "packed");
+    });
 
 // ------------------------------------------------------------------- fuzz --
 
