@@ -7,25 +7,22 @@
 // θ is faster because each transaction has fewer neighbors, making link
 // computation cheaper.
 //
-// Usage: bench_fig5_scalability [scale] [--compare-engines]
-//                               [--threads=N] [--merge-threads=N]
+// Usage: bench_fig5_scalability [scale] [--compare-engines] [--threads=N]
 //   scale             — multiplies the generated database size (default 1.0)
-//   --compare-engines — run every cell under all three merge engines
-//                       (parallel, flat, hashed) and report the
-//                       flat/parallel stage.merge speedup
+//   --compare-engines — run every cell under both merge engines (the
+//                       default `parallel` engine and the hashed
+//                       reference) and report the hashed/parallel
+//                       stage.merge speedup
 //   --threads=N       — worker threads for the graph phases (neighbor +
 //                       link engines). Used by EXPERIMENTS.md's multi-core
 //                       stage table.
-//   --merge-threads=N — relink shards for the parallel merge engine; the
-//                       merge *sequence* stays serial at any setting.
 //
 // The headline table times the parallel engine (the default).
 //
 // Every run appends to the machine-readable perf trajectory
 // (BENCH_rock.json, or $ROCK_BENCH_JSON; schema in docs/OBSERVABILITY.md).
 // CI's perf-smoke job runs this binary at a small scale with
-// --compare-engines and gates on both the flat/hashed and the
-// parallel/flat stage.merge ratios.
+// --compare-engines and gates on the hashed/parallel stage.merge ratio.
 
 #include <cstdio>
 #include <cstring>
@@ -43,14 +40,7 @@
 namespace {
 
 const char* EngineName(rock::MergeEngineKind kind) {
-  switch (kind) {
-    case rock::MergeEngineKind::kParallel:
-      return "parallel";
-    case rock::MergeEngineKind::kFlat:
-      return "flat";
-    default:
-      return "hashed";
-  }
+  return kind == rock::MergeEngineKind::kParallel ? "parallel" : "hashed";
 }
 
 }  // namespace
@@ -62,12 +52,9 @@ int main(int argc, char** argv) {
   double scale = 1.0;
   bool compare_engines = false;
   size_t threads = 1;
-  size_t merge_threads = 1;
   for (int a = 1; a < argc; ++a) {
     if (std::strcmp(argv[a], "--compare-engines") == 0) {
       compare_engines = true;
-    } else if (std::strncmp(argv[a], "--merge-threads=", 16) == 0) {
-      merge_threads = static_cast<size_t>(std::atoll(argv[a] + 16));
     } else if (std::strncmp(argv[a], "--threads=", 10) == 0) {
       threads = static_cast<size_t>(std::atoll(argv[a] + 10));
     } else {
@@ -94,10 +81,7 @@ int main(int argc, char** argv) {
   const double thetas[] = {0.5, 0.6, 0.7, 0.8};
   const size_t samples[] = {1000, 2000, 3000, 4000, 5000};
   std::vector<MergeEngineKind> engines = {MergeEngineKind::kParallel};
-  if (compare_engines) {
-    engines.push_back(MergeEngineKind::kFlat);
-    engines.push_back(MergeEngineKind::kHashed);
-  }
+  if (compare_engines) engines.push_back(MergeEngineKind::kHashed);
 
   std::printf("\nexecution time in seconds (excludes labeling, as in the "
               "paper)%s\n",
@@ -128,7 +112,6 @@ int main(int argc, char** argv) {
         opt.outlier_stop_multiple = 3.0;
         opt.min_cluster_support = 5;
         opt.merge_engine = engine;
-        opt.merge_threads = merge_threads;
         opt.graph_threads = threads;
         Timer timer;
         auto result = RockClusterer(opt).Cluster(sim);
@@ -151,7 +134,6 @@ int main(int argc, char** argv) {
         perf.Param("theta", theta_str);
         perf.Param("engine", EngineName(engine));
         perf.Param("threads", std::to_string(threads));
-        perf.Param("merge_threads", std::to_string(merge_threads));
         perf.AddRunMetrics(result->metrics);
         breakdowns.emplace_back(label, std::move(result->metrics));
       }
@@ -166,18 +148,16 @@ int main(int argc, char** argv) {
 
   if (compare_engines) {
     bench::Section("merge-engine comparison (stage.merge seconds)");
-    std::printf("%-24s %10s %10s %10s %13s\n", "cell", "parallel", "flat",
-                "hashed", "flat/par");
-    for (size_t i = 0; i + 2 < breakdowns.size(); i += 3) {
+    std::printf("%-24s %10s %10s %13s\n", "cell", "parallel", "hashed",
+                "hashed/par");
+    for (size_t i = 0; i + 1 < breakdowns.size(); i += 2) {
       const double par_s =
           bench::StageSeconds(breakdowns[i].second, "merge");
-      const double flat_s =
-          bench::StageSeconds(breakdowns[i + 1].second, "merge");
       const double hashed_s =
-          bench::StageSeconds(breakdowns[i + 2].second, "merge");
-      std::printf("%-24s %10.4f %10.4f %10.4f %12.2fx\n",
-                  breakdowns[i].first.c_str(), par_s, flat_s, hashed_s,
-                  par_s > 0.0 ? flat_s / par_s : 0.0);
+          bench::StageSeconds(breakdowns[i + 1].second, "merge");
+      std::printf("%-24s %10.4f %10.4f %12.2fx\n",
+                  breakdowns[i].first.c_str(), par_s, hashed_s,
+                  par_s > 0.0 ? hashed_s / par_s : 0.0);
     }
   }
 

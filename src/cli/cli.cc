@@ -374,6 +374,45 @@ int CmdGen(const std::vector<std::string>& args, std::string* out,
   return 0;
 }
 
+/// Maps the --neighbor-engine, --link-engine and --merge-engine names onto
+/// `opt`, shared by `cluster` and `pipeline`. Returns 0, or exit code 2
+/// after rendering an error for an unknown name.
+int ApplyEngineFlags(const std::string& neighbor_engine,
+                     const std::string& link_engine,
+                     const std::string& merge_engine, RockOptions* opt,
+                     std::string* out) {
+  if (neighbor_engine == "packed") {
+    opt->neighbor_engine = NeighborEngineKind::kPacked;
+  } else if (neighbor_engine == "scalar") {
+    opt->neighbor_engine = NeighborEngineKind::kScalar;
+  } else if (neighbor_engine == "lsh") {
+    opt->neighbor_engine = NeighborEngineKind::kLsh;
+  } else if (neighbor_engine == "auto") {
+    opt->neighbor_engine = NeighborEngineKind::kAuto;
+  } else {
+    EmitStr(out,
+            "error: unknown --neighbor-engine '" + neighbor_engine + "'\n");
+    return 2;
+  }
+  if (link_engine == "packed") {
+    opt->link_engine = LinkEngineKind::kPacked;
+  } else if (link_engine == "hashed") {
+    opt->link_engine = LinkEngineKind::kHashed;
+  } else {
+    EmitStr(out, "error: unknown --link-engine '" + link_engine + "'\n");
+    return 2;
+  }
+  if (merge_engine == "parallel") {
+    opt->merge_engine = MergeEngineKind::kParallel;
+  } else if (merge_engine == "hashed") {
+    opt->merge_engine = MergeEngineKind::kHashed;
+  } else {
+    EmitStr(out, "error: unknown --merge-engine '" + merge_engine + "'\n");
+    return 2;
+  }
+  return 0;
+}
+
 int CmdCluster(const std::vector<std::string>& args, std::string* out,
                bool help_only) {
   std::string input;
@@ -400,7 +439,6 @@ int CmdCluster(const std::vector<std::string>& args, std::string* out,
   size_t lsh_seed = 0x5eed;
   std::string neighbors = "exact";
   std::string merge_engine = "parallel";
-  size_t merge_threads = 1;
   std::string neighbor_engine = "packed";
   std::string link_engine = "packed";
 
@@ -451,11 +489,8 @@ int CmdCluster(const std::vector<std::string>& args, std::string* out,
                   "exact | lsh (MinHash-accelerated; basket/store inputs, "
                   "rock only)");
   flags.AddString("merge-engine", &merge_engine,
-                  "parallel | flat | hashed merge-engine layout (rock; "
+                  "parallel | hashed merge-engine layout (rock; "
                   "results are identical, parallel is fastest)");
-  flags.AddSize("merge-threads", &merge_threads,
-                "worker threads for the parallel merge engine's sharded "
-                "relink (0 = all cores; results are identical, rock)");
   flags.AddString("neighbor-engine", &neighbor_engine,
                   "packed | scalar | lsh | auto neighbor-graph engine "
                   "(rock; packed/scalar are exact and identical, lsh is "
@@ -513,37 +548,10 @@ int CmdCluster(const std::vector<std::string>& args, std::string* out,
       opt.lsh_rows = lsh_rows;
       opt.lsh_seed = lsh_seed;
       opt.diag.invariant_check_every = check_invariants;
-      opt.merge_threads = merge_threads;
-      if (merge_engine == "parallel") {
-        opt.merge_engine = MergeEngineKind::kParallel;
-      } else if (merge_engine == "flat") {
-        opt.merge_engine = MergeEngineKind::kFlat;
-      } else if (merge_engine == "hashed") {
-        opt.merge_engine = MergeEngineKind::kHashed;
-      } else {
-        EmitStr(out, "error: unknown --merge-engine '" + merge_engine + "'\n");
-        return 2;
-      }
-      if (neighbor_engine == "packed") {
-        opt.neighbor_engine = NeighborEngineKind::kPacked;
-      } else if (neighbor_engine == "scalar") {
-        opt.neighbor_engine = NeighborEngineKind::kScalar;
-      } else if (neighbor_engine == "lsh") {
-        opt.neighbor_engine = NeighborEngineKind::kLsh;
-      } else if (neighbor_engine == "auto") {
-        opt.neighbor_engine = NeighborEngineKind::kAuto;
-      } else {
-        EmitStr(out, "error: unknown --neighbor-engine '" + neighbor_engine +
-                         "'\n");
-        return 2;
-      }
-      if (link_engine == "packed") {
-        opt.link_engine = LinkEngineKind::kPacked;
-      } else if (link_engine == "hashed") {
-        opt.link_engine = LinkEngineKind::kHashed;
-      } else {
-        EmitStr(out, "error: unknown --link-engine '" + link_engine + "'\n");
-        return 2;
+      if (int rc = ApplyEngineFlags(neighbor_engine, link_engine,
+                                    merge_engine, &opt, out);
+          rc != 0) {
+        return rc;
       }
       Result<RockResult> result = Status::Internal("unreachable");
       if (neighbors == "lsh") {
@@ -700,7 +708,6 @@ struct PipelineFlagValues {
   int64_t seed = 42;
   std::string failpoints;
   std::string merge_engine = "parallel";
-  size_t merge_threads = 1;
   std::string neighbor_engine = "packed";
   std::string link_engine = "packed";
 };
@@ -736,11 +743,8 @@ void RegisterPipelineFlags(FlagSet& flags, PipelineFlagValues* v) {
                   "packed | hashed link-count engine (link rows are "
                   "identical, packed is faster)");
   flags.AddString("merge-engine", &v->merge_engine,
-                  "parallel | flat | hashed merge-engine layout (results "
+                  "parallel | hashed merge-engine layout (results "
                   "are identical, parallel is fastest)");
-  flags.AddSize("merge-threads", &v->merge_threads,
-                "worker threads for the parallel merge engine's sharded "
-                "relink (0 = all cores; results are identical)");
   flags.AddSize("check-invariants", &v->check_invariants,
                 "validate merge bookkeeping every Nth merge (0 = off)");
   flags.AddDouble("theta", &v->theta, "neighbor threshold θ");
@@ -771,37 +775,10 @@ int ApplyPipelineFlags(const PipelineFlagValues& v, PipelineOptions* opt,
   opt->rock.lsh_bands = v.lsh_bands;
   opt->rock.lsh_rows = v.lsh_rows;
   opt->rock.lsh_seed = v.lsh_seed;
-  if (v.neighbor_engine == "packed") {
-    opt->rock.neighbor_engine = NeighborEngineKind::kPacked;
-  } else if (v.neighbor_engine == "scalar") {
-    opt->rock.neighbor_engine = NeighborEngineKind::kScalar;
-  } else if (v.neighbor_engine == "lsh") {
-    opt->rock.neighbor_engine = NeighborEngineKind::kLsh;
-  } else if (v.neighbor_engine == "auto") {
-    opt->rock.neighbor_engine = NeighborEngineKind::kAuto;
-  } else {
-    EmitStr(out,
-            "error: unknown --neighbor-engine '" + v.neighbor_engine + "'\n");
-    return 2;
-  }
-  if (v.link_engine == "packed") {
-    opt->rock.link_engine = LinkEngineKind::kPacked;
-  } else if (v.link_engine == "hashed") {
-    opt->rock.link_engine = LinkEngineKind::kHashed;
-  } else {
-    EmitStr(out, "error: unknown --link-engine '" + v.link_engine + "'\n");
-    return 2;
-  }
-  opt->rock.merge_threads = v.merge_threads;
-  if (v.merge_engine == "parallel") {
-    opt->rock.merge_engine = MergeEngineKind::kParallel;
-  } else if (v.merge_engine == "flat") {
-    opt->rock.merge_engine = MergeEngineKind::kFlat;
-  } else if (v.merge_engine == "hashed") {
-    opt->rock.merge_engine = MergeEngineKind::kHashed;
-  } else {
-    EmitStr(out, "error: unknown --merge-engine '" + v.merge_engine + "'\n");
-    return 2;
+  if (int rc = ApplyEngineFlags(v.neighbor_engine, v.link_engine,
+                                v.merge_engine, &opt->rock, out);
+      rc != 0) {
+    return rc;
   }
   opt->sample_size = v.sample_size;
   opt->labeling.fraction = v.labeling_fraction;

@@ -56,16 +56,6 @@ class GoodnessMeasure {
   /// g(C_i, C_j) for the observed cross-link count.
   double Goodness(uint64_t cross_links, size_t ni, size_t nj) const;
 
-  /// Pre-fills the memo through size `max_size` so every later
-  /// ExpectedIntraLinks(n ≤ max_size) is a pure table read. Callers that
-  /// evaluate goodness from several threads (the sharded relink of
-  /// core/merge_parallel.cc) must reserve their size ceiling up front —
-  /// concurrent reads of a reserved table are race-free, concurrent lazy
-  /// growth is not.
-  void Reserve(size_t max_size) const {
-    if (max_size >= table_.size()) GrowAndGet(max_size);
-  }
-
  private:
   /// Extends the table through index n (each slot i = std::pow(i, e)) and
   /// returns table_[n].

@@ -1,24 +1,19 @@
 // librock — core/merge_engine.h (internal)
 //
-// The three interchangeable implementations of the Fig. 3 agglomerative
-// merge loop. All consume a prebuilt neighbor graph, run the link phase,
-// and return a complete RockResult; they differ only in data layout and
-// scheduling:
+// The two implementations of the Fig. 3 agglomerative merge loop. Both
+// consume a prebuilt neighbor graph, run the link phase, and return a
+// complete RockResult; they differ only in data layout:
 //
-//   * parallel — interleaved (AoS) partner rows, elided no-op global-heap
-//                fixups, and a three-way sorted relink that shards into
-//                disjoint partner-id ranges over a persistent worker pool
-//                when RockOptions::merge_threads > 1. The default engine
-//                (core/merge_parallel.cc, DESIGN.md §12).
-//   * flat     — CSR link rows (LinkMatrix::Freeze), sorted flat
-//                partner/count vectors per cluster with lazy dead-entry
-//                removal, per-run arena-allocated cluster slabs, and
-//                batched heap updates (core/merge_flat.cc). Kept as a
-//                second oracle and the perf-gate baseline.
-//   * hashed   — per-cluster std::unordered_map link tables, the original
-//                layout. Kept behind the same API as the reference oracle
-//                for differential tests and perf baselines
-//                (core/merge_hashed.cc).
+//   * parallel — interleaved (AoS) partner rows, lazy best cleaning, a
+//                memoized goodness table and elided no-op global-heap
+//                fixups. The default and only production engine
+//                (core/merge_parallel.cc, DESIGN.md §12); its merge loop
+//                is serial, the name is kept for the CLI value and the
+//                perf baselines.
+//   * hashed   — per-cluster std::unordered_map link tables and local
+//                heaps, the paper-literal layout. Kept behind the same
+//                API as the reference oracle for differential tests and
+//                the perf gate (core/merge_hashed.cc).
 //
 // Results are bit-identical: the merge sequence, clustering, stats, and
 // invariant-check outcomes agree element for element (enforced by
@@ -32,16 +27,12 @@
 
 namespace rock::internal {
 
-/// Runs the flat-layout merge engine (CSR rows, sorted-merge relinking).
-RockResult RunFlatMergeEngine(const NeighborGraph& graph,
-                              const RockOptions& options);
-
 /// Runs the original hash-table merge engine (reference oracle).
 RockResult RunHashedMergeEngine(const NeighborGraph& graph,
                                 const RockOptions& options);
 
-/// Runs the parallel sharded merge engine (interleaved rows, elided heap
-/// fixups, relink fan-out over RockOptions::merge_threads) — the default.
+/// Runs the production merge engine (interleaved rows, lazy best
+/// cleaning, elided heap fixups) — the default.
 RockResult RunParallelMergeEngine(const NeighborGraph& graph,
                                   const RockOptions& options);
 

@@ -4,7 +4,10 @@
 // parameters: the similarity threshold θ (§3.1), the link-expectation
 // exponent function f(θ) (§3.3), the desired cluster count k, and the two
 // outlier-handling controls of §4.6 (isolated-point pruning and small-
-// cluster weeding at a stop multiple of k).
+// cluster weeding at a stop multiple of k). Engine choices and thread
+// counts apply to the neighbor, link and labeling phases; the Fig. 3 merge
+// loop is serial and only picks between the production engine and the
+// hashed reference.
 
 #ifndef ROCK_CORE_OPTIONS_H_
 #define ROCK_CORE_OPTIONS_H_
@@ -36,20 +39,15 @@ double MarketBasketF(double theta);
 double ConservativeMarketBasketF(double theta);
 
 /// Which data layout the Fig. 3 merge engine runs on. Results (merge
-/// sequence, clustering, stats) are bit-identical across all three; only
+/// sequence, clustering, stats) are bit-identical across both; only
 /// memory layout and speed differ.
 enum class MergeEngineKind {
-  /// CSR link rows + sorted flat partner lists + batched heap updates.
-  /// Kept as a second oracle for differential tests and perf baselines.
-  kFlat,
   /// The original per-cluster `unordered_map` link tables. Kept as the
   /// reference oracle for differential tests and perf baselines.
   kHashed,
-  /// Interleaved (AoS) partner rows, elided no-op heap fixups, and a
-  /// relink that fans out over disjoint partner-id shards when
-  /// merge_threads > 1 — the default engine (core/merge_parallel.cc).
-  /// The merge *sequence* stays serial, so results are byte-identical to
-  /// the other two at any thread count.
+  /// Interleaved (AoS) partner rows, lazy best cleaning and elided no-op
+  /// heap fixups — the default engine (core/merge_parallel.cc). The merge
+  /// loop is serial; the name is kept for the CLI value and baselines.
   kParallel,
 };
 
@@ -162,23 +160,9 @@ struct RockOptions {
   /// functions of (data, banding, this seed) at any thread count.
   uint64_t lsh_seed = 0x5eed;
 
-  /// Merge-engine data layout; see MergeEngineKind. All engines produce
+  /// Merge-engine data layout; see MergeEngineKind. Both engines produce
   /// bit-identical results.
   MergeEngineKind merge_engine = MergeEngineKind::kParallel;
-
-  /// Worker threads for the parallel merge engine's per-merge work (the
-  /// sharded relink and the periodic compaction sweep; the merge sequence
-  /// itself is inherently serial). 1 = serial (default), 0 = hardware
-  /// concurrency. Results are byte-identical at any count. Ignored by the
-  /// flat and hashed engines.
-  size_t merge_threads = 1;
-
-  /// Minimum combined live-entry count of the two merged clusters' rows
-  /// for a relink to fan out over the shard pool; smaller relinks run the
-  /// serial loop (waking workers costs more than a tiny merge). Only
-  /// consulted when merge_threads > 1; determinism tests lower it to 1 to
-  /// force the sharded path on small inputs.
-  size_t merge_shard_min = 256;
 
   /// Neighbor-graph engine; see NeighborEngineKind. Both engines produce
   /// bit-identical graphs.

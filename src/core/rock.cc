@@ -66,8 +66,6 @@ Result<RockResult> RockClusterer::ClusterGraph(
   switch (options_.merge_engine) {
     case MergeEngineKind::kHashed:
       return internal::RunHashedMergeEngine(graph, options_);
-    case MergeEngineKind::kFlat:
-      return internal::RunFlatMergeEngine(graph, options_);
     case MergeEngineKind::kParallel:
       break;
   }

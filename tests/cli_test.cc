@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "cli/cli.h"
 
@@ -301,6 +302,36 @@ TEST_F(CliTest, NeighborEngineFlagSelectsAndValidates) {
   EXPECT_NE(bout.find("unknown --neighbor-engine"), std::string::npos);
 }
 
+// `cluster` and `pipeline` share one engine-name parser: the retired flat
+// merge engine is an unknown name on both, and the retired
+// --merge-threads flag is an unknown flag.
+TEST_F(CliTest, MergeEngineFlagRejectsRetiredNames) {
+  auto [gcode, gout] = Run({"gen", "--dataset=votes",
+                            "--out=" + Path("votes.csv")});
+  ASSERT_EQ(gcode, 0) << gout;
+  const std::vector<std::string> commands[] = {
+      {"cluster", "--input=" + Path("votes.csv"), "--theta=0.73", "--k=2"},
+      {"pipeline", "--store=" + Path("missing.store")},
+  };
+  for (const auto& base : commands) {
+    SCOPED_TRACE(base.front());
+    std::vector<std::string> flat = base;
+    flat.push_back("--merge-engine=flat");
+    auto [code, out] = Run(flat);
+    EXPECT_EQ(code, 2) << out;
+    EXPECT_NE(out.find("error: unknown --merge-engine 'flat'"),
+              std::string::npos)
+        << out;
+
+    std::vector<std::string> threads = base;
+    threads.push_back("--merge-threads=2");
+    auto [tcode, tout] = Run(threads);
+    EXPECT_EQ(tcode, 2) << tout;
+    EXPECT_NE(tout.find("unknown flag --merge-threads"), std::string::npos)
+        << tout;
+  }
+}
+
 TEST_F(CliTest, GenMushroomScaled) {
   auto [code, out] = Run({"gen", "--dataset=mushroom", "--scale=0.02",
                           "--out=" + Path("mush.csv")});
@@ -365,7 +396,7 @@ TEST_F(CliTest, MetricsJsonGoldenSchema) {
   EXPECT_NE(json.find("\"stages\": [\"criterion\", \"links\", "
                       "\"links.pack\", \"merge\", "
                       "\"merge.heap\", \"merge.relink\", "
-                      "\"merge.relink.parallel\", \"neighbors\", "
+                      "\"neighbors\", "
                       "\"neighbors.pack\", \"total\"]"),
             std::string::npos)
       << json;
@@ -382,7 +413,6 @@ TEST_F(CliTest, MetricsJsonGoldenSchema) {
       "stage.merge",
       "stage.merge.heap",
       "stage.merge.relink",
-      "stage.merge.relink.parallel",
       "stage.neighbors", "stage.neighbors.pack",
       "stage.total",
       "neighbors.pairs_evaluated",
@@ -409,10 +439,7 @@ TEST_F(CliTest, MetricsJsonGoldenSchema) {
       "merge.relink_dead_skipped",
       "merge.relink_compactions",
       "merge.relink_best_rescans",
-      "merge.shards",
-      "merge.parallel_relinks",
       "merge.compact_sweeps",
-      "merge.threads",
       "weed.clusters",   "weed.points",
       "graph.average_degree",
       "criterion.value",

@@ -140,47 +140,48 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialSeedTest,
 
 // ------------------------------------------------- merge-engine differential --
 
-// The flat merge engine (CSR rows, sorted-merge relinking, batched heap
-// updates) must reproduce the hashed oracle bit for bit: the same merge
-// sequence record by record, the same clustering, the same stats. Any
-// divergence in the relink algebra or heap ordering shows up as the first
-// differing MergeRecord.
+// The production merge engine (interleaved rows, lazy best cleaning with
+// upper-bound priorities, elided heap fixups, periodic dead-entry
+// compaction) must reproduce the paper-literal hashed reference bit for
+// bit: the same merge sequence record by record, the same clustering, the
+// same stats and criterion. Any divergence in the relink algebra or heap
+// ordering shows up as the first differing MergeRecord.
 
-void ExpectRunsIdentical(const RockResult& hashed, const RockResult& flat) {
-  ASSERT_EQ(hashed.merges.size(), flat.merges.size());
+void ExpectRunsIdentical(const RockResult& hashed, const RockResult& other) {
+  ASSERT_EQ(hashed.merges.size(), other.merges.size());
   for (size_t m = 0; m < hashed.merges.size(); ++m) {
     const MergeRecord& a = hashed.merges[m];
-    const MergeRecord& b = flat.merges[m];
+    const MergeRecord& b = other.merges[m];
     ASSERT_EQ(a.left, b.left) << "merge " << m;
     ASSERT_EQ(a.right, b.right) << "merge " << m;
     ASSERT_EQ(a.merged, b.merged) << "merge " << m;
     ASSERT_EQ(a.new_size, b.new_size) << "merge " << m;
     ASSERT_DOUBLE_EQ(a.goodness, b.goodness) << "merge " << m;
   }
-  EXPECT_EQ(hashed.clustering.assignment, flat.clustering.assignment);
-  ASSERT_EQ(hashed.clustering.num_clusters(), flat.clustering.num_clusters());
+  EXPECT_EQ(hashed.clustering.assignment, other.clustering.assignment);
+  ASSERT_EQ(hashed.clustering.num_clusters(), other.clustering.num_clusters());
   for (size_t c = 0; c < hashed.clustering.num_clusters(); ++c) {
-    EXPECT_EQ(hashed.clustering.clusters[c], flat.clustering.clusters[c])
+    EXPECT_EQ(hashed.clustering.clusters[c], other.clustering.clusters[c])
         << "cluster " << c;
   }
-  EXPECT_EQ(hashed.stats.num_points, flat.stats.num_points);
-  EXPECT_EQ(hashed.stats.num_pruned_points, flat.stats.num_pruned_points);
+  EXPECT_EQ(hashed.stats.num_points, other.stats.num_points);
+  EXPECT_EQ(hashed.stats.num_pruned_points, other.stats.num_pruned_points);
   EXPECT_EQ(hashed.stats.num_weeded_clusters,
-            flat.stats.num_weeded_clusters);
-  EXPECT_EQ(hashed.stats.num_weeded_points, flat.stats.num_weeded_points);
-  EXPECT_EQ(hashed.stats.num_merges, flat.stats.num_merges);
+            other.stats.num_weeded_clusters);
+  EXPECT_EQ(hashed.stats.num_weeded_points, other.stats.num_weeded_points);
+  EXPECT_EQ(hashed.stats.num_merges, other.stats.num_merges);
   EXPECT_DOUBLE_EQ(hashed.stats.criterion_value,
-                   flat.stats.criterion_value);
+                   other.stats.criterion_value);
 }
 
-// θ × thread-count grid, with outlier pruning and weeding enabled so the
-// flat engine's lazy-deletion path is exercised through WeedSmallClusters
-// as well as merges. Invariant checking runs in both engines every few
-// merges, so each engine's own bookkeeping oracle must also stay clean.
+// θ × graph-thread-count grid, with outlier pruning and weeding enabled so
+// the lazy-deletion path is exercised through WeedSmallClusters as well as
+// merges. Invariant checking runs in both engines every few merges, so
+// each engine's own bookkeeping oracle must also stay clean.
 class MergeEngineDifferentialTest
     : public ::testing::TestWithParam<std::tuple<double, size_t>> {};
 
-TEST_P(MergeEngineDifferentialTest, FlatMatchesHashedOracle) {
+TEST_P(MergeEngineDifferentialTest, ParallelMatchesHashedOracle) {
   const auto [theta, threads] = GetParam();
   const uint64_t seed = 20260806;
   ROCK_TRACE_SEED(seed);
@@ -199,14 +200,14 @@ TEST_P(MergeEngineDifferentialTest, FlatMatchesHashedOracle) {
   opt.merge_engine = MergeEngineKind::kHashed;
   auto hashed = RockClusterer(opt).Cluster(sim);
   ASSERT_TRUE(hashed.ok());
-  opt.merge_engine = MergeEngineKind::kFlat;
-  auto flat = RockClusterer(opt).Cluster(sim);
-  ASSERT_TRUE(flat.ok());
+  opt.merge_engine = MergeEngineKind::kParallel;
+  auto parallel = RockClusterer(opt).Cluster(sim);
+  ASSERT_TRUE(parallel.ok());
 
-  ExpectRunsIdentical(*hashed, *flat);
+  ExpectRunsIdentical(*hashed, *parallel);
   EXPECT_EQ(hashed->metrics.CounterOr("diag.invariant_violations"), 0u);
-  EXPECT_EQ(flat->metrics.CounterOr("diag.invariant_violations"), 0u);
-  EXPECT_GT(flat->metrics.CounterOr("diag.invariant_checks"), 0u);
+  EXPECT_EQ(parallel->metrics.CounterOr("diag.invariant_violations"), 0u);
+  EXPECT_GT(parallel->metrics.CounterOr("diag.invariant_checks"), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -224,7 +225,7 @@ INSTANTIATE_TEST_SUITE_P(
 // merge orders, weeding patterns, and pruning sets.
 class MergeEngineSeedTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(MergeEngineSeedTest, FlatMatchesHashedAcrossDatasets) {
+TEST_P(MergeEngineSeedTest, ParallelMatchesHashedAcrossDatasets) {
   const uint64_t seed = GetParam();
   ROCK_TRACE_SEED(seed);
   TransactionDataset ds = RandomDataset(seed, 1);
@@ -240,12 +241,12 @@ TEST_P(MergeEngineSeedTest, FlatMatchesHashedAcrossDatasets) {
   opt.merge_engine = MergeEngineKind::kHashed;
   auto hashed = RockClusterer(opt).Cluster(sim);
   ASSERT_TRUE(hashed.ok());
-  opt.merge_engine = MergeEngineKind::kFlat;
-  auto flat = RockClusterer(opt).Cluster(sim);
-  ASSERT_TRUE(flat.ok());
+  opt.merge_engine = MergeEngineKind::kParallel;
+  auto parallel = RockClusterer(opt).Cluster(sim);
+  ASSERT_TRUE(parallel.ok());
 
-  ExpectRunsIdentical(*hashed, *flat);
-  EXPECT_EQ(flat->metrics.CounterOr("diag.invariant_violations"), 0u);
+  ExpectRunsIdentical(*hashed, *parallel);
+  EXPECT_EQ(parallel->metrics.CounterOr("diag.invariant_violations"), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MergeEngineSeedTest,
@@ -269,8 +270,6 @@ TEST(MergeEngineEdgeCaseTest, DegenerateGraphsAgree) {
     const TransactionDataset* ds;
     double theta;
   };
-  TransactionJaccard disjoint_sim(disjoint);
-  TransactionJaccard dense_sim(dense);
   const Case cases[] = {{"disjoint", &disjoint, 0.5},
                         {"complete", &dense, 0.0}};
   for (const Case& c : cases) {
@@ -283,23 +282,25 @@ TEST(MergeEngineEdgeCaseTest, DegenerateGraphsAgree) {
     opt.merge_engine = MergeEngineKind::kHashed;
     auto hashed = RockClusterer(opt).Cluster(sim);
     ASSERT_TRUE(hashed.ok());
-    opt.merge_engine = MergeEngineKind::kFlat;
-    auto flat = RockClusterer(opt).Cluster(sim);
-    ASSERT_TRUE(flat.ok());
-    ExpectRunsIdentical(*hashed, *flat);
-    EXPECT_EQ(flat->metrics.CounterOr("diag.invariant_violations"), 0u);
+    opt.merge_engine = MergeEngineKind::kParallel;
+    auto parallel = RockClusterer(opt).Cluster(sim);
+    ASSERT_TRUE(parallel.ok());
+    ExpectRunsIdentical(*hashed, *parallel);
+    EXPECT_EQ(parallel->metrics.CounterOr("diag.invariant_violations"), 0u);
   }
 }
 
 // ---------------------------------------------- parallel-engine differential --
 
-// The parallel merge engine adds three layers on top of flat — sharded
-// relinking, lazy best-cleaning with upper-bound priorities, and periodic
-// dead-entry compaction — and every one of them must be invisible in the
-// output: same MergeRecords, same clustering, same stats as BOTH oracles,
-// at every thread count. merge_shard_min is dropped to 1 so the ~100-point
-// datasets actually exercise the sharded path rather than falling back to
-// the serial relink.
+// The production merge engine layers lazy best-cleaning with upper-bound
+// priorities, the memoized goodness table, elided heap fixups and periodic
+// dead-entry compaction over the Fig. 3 loop, and every one of them must
+// be invisible in the output against BOTH oracles: the hashed merge engine
+// over the same link table, and the fully paper-literal path (scalar
+// neighbor sweep, hashed link scatter, serial graph phases, hashed merge
+// engine). The thread axis runs the neighbor-graph and link phases with
+// 1, 4 and 8 workers, so the engine consumes link tables built under every
+// scheduling of the graph phases.
 
 RockOptions ParallelGridOptions(double theta, size_t threads, bool weeding) {
   RockOptions opt;
@@ -309,12 +310,38 @@ RockOptions ParallelGridOptions(double theta, size_t threads, bool weeding) {
     opt.outlier_stop_multiple = 3.0;
     opt.min_cluster_support = 4;
   }
-  opt.merge_threads = threads;
-  opt.merge_shard_min = 1;
+  opt.num_threads = threads;
   opt.diag.invariant_check_every = 7;
   return opt;
 }
 
+// Runs `opt` under the production engine and under both oracles and
+// asserts all three runs identical.
+void ExpectParallelMatchesBothOracles(const TransactionJaccard& sim,
+                                      RockOptions opt) {
+  RockOptions literal = opt;
+  literal.neighbor_engine = NeighborEngineKind::kScalar;
+  literal.link_engine = LinkEngineKind::kHashed;
+  literal.num_threads = 1;
+  literal.merge_engine = MergeEngineKind::kHashed;
+  auto reference = RockClusterer(literal).Cluster(sim);
+  ASSERT_TRUE(reference.ok());
+  opt.merge_engine = MergeEngineKind::kHashed;
+  auto hashed = RockClusterer(opt).Cluster(sim);
+  ASSERT_TRUE(hashed.ok());
+  opt.merge_engine = MergeEngineKind::kParallel;
+  auto parallel = RockClusterer(opt).Cluster(sim);
+  ASSERT_TRUE(parallel.ok());
+
+  ExpectRunsIdentical(*hashed, *parallel);
+  ExpectRunsIdentical(*reference, *parallel);
+  EXPECT_EQ(parallel->metrics.CounterOr("diag.invariant_violations"), 0u);
+  EXPECT_GT(parallel->metrics.CounterOr("diag.invariant_checks"), 0u);
+}
+
+// θ × graph-threads × weeding grid: with and without the weeding pause, so
+// both the merge-only path and the WeedSmallClusters lazy-dirty path are
+// pinned to the references.
 class ParallelEngineDifferentialTest
     : public ::testing::TestWithParam<std::tuple<double, size_t, bool>> {};
 
@@ -324,27 +351,8 @@ TEST_P(ParallelEngineDifferentialTest, ParallelMatchesBothOracles) {
   ROCK_TRACE_SEED(seed);
   TransactionDataset ds = RandomDataset(seed, 2);
   TransactionJaccard sim(ds);
-
-  RockOptions opt = ParallelGridOptions(theta, threads, weeding);
-  opt.merge_engine = MergeEngineKind::kFlat;
-  auto flat = RockClusterer(opt).Cluster(sim);
-  ASSERT_TRUE(flat.ok());
-  opt.merge_engine = MergeEngineKind::kHashed;
-  auto hashed = RockClusterer(opt).Cluster(sim);
-  ASSERT_TRUE(hashed.ok());
-  opt.merge_engine = MergeEngineKind::kParallel;
-  auto parallel = RockClusterer(opt).Cluster(sim);
-  ASSERT_TRUE(parallel.ok());
-
-  ExpectRunsIdentical(*flat, *parallel);
-  ExpectRunsIdentical(*hashed, *parallel);
-  EXPECT_EQ(parallel->metrics.CounterOr("diag.invariant_violations"), 0u);
-  EXPECT_GT(parallel->metrics.CounterOr("diag.invariant_checks"), 0u);
-  if (threads > 1 && parallel->stats.num_merges > 0) {
-    // Sharding must actually have run — a silent serial fallback would
-    // make this grid vacuous.
-    EXPECT_GT(parallel->metrics.CounterOr("merge.shards"), 0u);
-  }
+  ExpectParallelMatchesBothOracles(
+      sim, ParallelGridOptions(theta, threads, weeding));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -360,9 +368,11 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<2>(param.param) ? "_weeded" : "_unweeded");
     });
 
-// Varying datasets at the most adversarial grid point (8 threads on ~70
-// points, weeding on): different seeds shuffle the merge order, the dirty/
-// clean pattern of the lazy best-cleaning, and the shard boundaries.
+// Varying datasets at the most threaded grid point (8 graph workers on ~70
+// points, weeding on): different seeds shuffle the merge order and the
+// dirty/clean pattern of the lazy best-cleaning. The test keeps the name
+// it had while the retired flat engine was its oracle; both oracles above
+// now stand in for it.
 class ParallelEngineSeedTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ParallelEngineSeedTest, ParallelMatchesFlatAcrossDatasets) {
@@ -375,26 +385,16 @@ TEST_P(ParallelEngineSeedTest, ParallelMatchesFlatAcrossDatasets) {
   opt.outlier_stop_multiple = 2.0;
   opt.min_cluster_support = 3;
   opt.diag.invariant_check_every = 5;
-
-  opt.merge_engine = MergeEngineKind::kFlat;
-  auto flat = RockClusterer(opt).Cluster(sim);
-  ASSERT_TRUE(flat.ok());
-  opt.merge_engine = MergeEngineKind::kParallel;
-  auto parallel = RockClusterer(opt).Cluster(sim);
-  ASSERT_TRUE(parallel.ok());
-
-  ExpectRunsIdentical(*flat, *parallel);
-  EXPECT_EQ(parallel->metrics.CounterOr("diag.invariant_violations"), 0u);
+  ExpectParallelMatchesBothOracles(sim, opt);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelEngineSeedTest,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u));
 
-// Degenerate graphs under the parallel engine: a link-free graph (every
-// merge candidate pruned away), the complete graph at θ = 0 (densest rows,
-// maximal shard counts), and a hub-and-spokes dataset where one point
-// neighbors everyone (one giant row next to width-1 rows — the worst case
-// for shard boundary placement).
+// Degenerate graphs with threaded graph phases: a link-free graph (every
+// merge candidate pruned away), the complete graph at θ = 0 (densest rows)
+// and a hub-and-spokes dataset where one point neighbors everyone (one
+// giant row next to width-1 rows), all with weeding disabled.
 TEST(ParallelEngineEdgeCaseTest, DegenerateGraphsAgree) {
   TransactionDataset disjoint;
   for (int t = 0; t < 30; ++t) {
@@ -424,14 +424,7 @@ TEST(ParallelEngineEdgeCaseTest, DegenerateGraphsAgree) {
     RockOptions opt = ParallelGridOptions(c.theta, 8, false);
     opt.num_clusters = 2;
     opt.diag.invariant_check_every = 3;
-    opt.merge_engine = MergeEngineKind::kFlat;
-    auto flat = RockClusterer(opt).Cluster(sim);
-    ASSERT_TRUE(flat.ok());
-    opt.merge_engine = MergeEngineKind::kParallel;
-    auto parallel = RockClusterer(opt).Cluster(sim);
-    ASSERT_TRUE(parallel.ok());
-    ExpectRunsIdentical(*flat, *parallel);
-    EXPECT_EQ(parallel->metrics.CounterOr("diag.invariant_violations"), 0u);
+    ExpectParallelMatchesBothOracles(sim, opt);
   }
 }
 
@@ -440,9 +433,9 @@ TEST(ParallelEngineEdgeCaseTest, DegenerateGraphsAgree) {
 // The bit-plane link engine must be invisible to everything downstream:
 // with the link rows byte-identical, the merge sequence, clustering, stats
 // and labels of a full run cannot depend on --link-engine. Exercised across
-// both merge engines (flat probes frozen CSR rows, hashed probes the lazily
-// materialized hash rows) so both row representations of the packed output
-// are covered end to end.
+// both merge engines (parallel probes frozen CSR rows, hashed probes the
+// lazily materialized hash rows) so both row representations of the packed
+// output are covered end to end.
 class LinkEngineClusterDifferentialTest
     : public ::testing::TestWithParam<std::tuple<double, MergeEngineKind>> {};
 
@@ -485,14 +478,15 @@ TEST_P(LinkEngineClusterDifferentialTest, PackedMatchesHashedEndToEnd) {
 INSTANTIATE_TEST_SUITE_P(
     ThetaByMergeEngine, LinkEngineClusterDifferentialTest,
     ::testing::Combine(::testing::Values(0.2, 0.5, 0.8),
-                       ::testing::Values(MergeEngineKind::kFlat,
+                       ::testing::Values(MergeEngineKind::kParallel,
                                          MergeEngineKind::kHashed)),
     [](const ::testing::TestParamInfo<
         LinkEngineClusterDifferentialTest::ParamType>& param) {
       const double theta = std::get<0>(param.param);
       return "theta" + std::to_string(static_cast<int>(theta * 10)) +
-             (std::get<1>(param.param) == MergeEngineKind::kFlat ? "_flat"
-                                                                 : "_hashed");
+             (std::get<1>(param.param) == MergeEngineKind::kParallel
+                  ? "_parallel"
+                  : "_hashed");
     });
 
 // Full disk pipeline: --link-engine packed vs hashed must deliver identical
@@ -621,21 +615,19 @@ TEST_F(LinkEnginePipelineTest, CrossEngineResumeMatchesUninterruptedRun) {
 }
 
 // Crash/resume across *merge* engines: a run that crashes mid-pipeline
-// under the sharded parallel engine must resume under the flat oracle into
+// under the production engine must resume under the hashed reference into
 // the exact uninterrupted result, and vice versa — the merge engine, like
 // the link engine, lives below the checkpoint fingerprint.
 TEST_F(LinkEnginePipelineTest, ParallelMergeResumeMatchesUninterruptedRun) {
   if (!fail::BuildEnabled()) GTEST_SKIP() << "failpoints compiled out";
   auto baseline_opt = Options(LinkEngineKind::kHashed);
-  baseline_opt.rock.merge_engine = MergeEngineKind::kFlat;
+  baseline_opt.rock.merge_engine = MergeEngineKind::kHashed;
   auto baseline = RunRockPipeline(store_path_, baseline_opt);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
-  // Crash a sharded parallel-engine run at its second checkpoint write...
+  // Crash a production-engine run at its second checkpoint write...
   auto crashed_opt = Options(LinkEngineKind::kHashed);
   crashed_opt.rock.merge_engine = MergeEngineKind::kParallel;
-  crashed_opt.rock.merge_threads = 4;
-  crashed_opt.rock.merge_shard_min = 1;
   crashed_opt.checkpoint_path = ckpt_path_;
   crashed_opt.rock.failpoints = "pipeline.checkpoint=fire_on_hit_2:crash";
   auto crashed = RunRockPipeline(store_path_, crashed_opt);
@@ -643,10 +635,10 @@ TEST_F(LinkEnginePipelineTest, ParallelMergeResumeMatchesUninterruptedRun) {
   ASSERT_TRUE(fail::IsInjectedCrash(crashed.status()))
       << crashed.status().ToString();
 
-  // ...then resume it with the flat engine.
+  // ...then resume it with the hashed reference.
   fail::Clear();
   auto resumed_opt = Options(LinkEngineKind::kHashed);
-  resumed_opt.rock.merge_engine = MergeEngineKind::kFlat;
+  resumed_opt.rock.merge_engine = MergeEngineKind::kHashed;
   resumed_opt.checkpoint_path = ckpt_path_;
   resumed_opt.resume = true;
   auto resumed = RunRockPipeline(store_path_, resumed_opt);
@@ -654,9 +646,9 @@ TEST_F(LinkEnginePipelineTest, ParallelMergeResumeMatchesUninterruptedRun) {
   EXPECT_TRUE(resumed->resumed);
   ExpectPipelinesIdentical(*resumed, *baseline);
 
-  // Mirror image: flat crash, sharded parallel resume at 8 threads.
+  // Mirror image: hashed crash, production-engine resume.
   auto crashed2_opt = Options(LinkEngineKind::kHashed);
-  crashed2_opt.rock.merge_engine = MergeEngineKind::kFlat;
+  crashed2_opt.rock.merge_engine = MergeEngineKind::kHashed;
   crashed2_opt.checkpoint_path = ckpt_path_;
   crashed2_opt.rock.failpoints = "pipeline.checkpoint=fire_on_hit_2:crash";
   auto crashed2 = RunRockPipeline(store_path_, crashed2_opt);
@@ -665,8 +657,6 @@ TEST_F(LinkEnginePipelineTest, ParallelMergeResumeMatchesUninterruptedRun) {
   fail::Clear();
   auto resumed2_opt = Options(LinkEngineKind::kHashed);
   resumed2_opt.rock.merge_engine = MergeEngineKind::kParallel;
-  resumed2_opt.rock.merge_threads = 8;
-  resumed2_opt.rock.merge_shard_min = 1;
   resumed2_opt.checkpoint_path = ckpt_path_;
   resumed2_opt.resume = true;
   auto resumed2 = RunRockPipeline(store_path_, resumed2_opt);

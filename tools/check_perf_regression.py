@@ -19,7 +19,7 @@ the gate independent of the machine the baseline was recorded on; the
 geometric mean keeps one noisy cell from dominating.
 
 Defaults match the merge-engine gate (bench_fig5_scalability):
---engines=flat,hashed --stage=stage.merge. The neighbor-engine gate
+--engines=parallel,hashed --stage=stage.merge. The neighbor-engine gate
 (bench_neighbors_ablation) uses --engines=packed,scalar
 --stage=stage.neighbors.
 
@@ -108,7 +108,7 @@ def check_recall(path, engine, counter, min_recall):
 
 def main(argv):
     tolerance = 0.25
-    new_engine, old_engine = "flat", "hashed"
+    new_engine, old_engine = "parallel", "hashed"
     stage = "stage.merge"
     min_recall = None
     recall_counter = "neighbors.lsh_recall_ppm"
