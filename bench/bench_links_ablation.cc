@@ -10,7 +10,7 @@
 // Default mode runs the google-benchmark suite below. With
 // --compare-engines it instead measures the bit-plane packed link engine
 // against the Fig. 4 hashed-scatter oracle on the Fig. 5 configuration
-// (shared samples, θ sweep), verifies the frozen CSR rows are identical,
+// (shared samples, θ sweep), verifies the CSR rows are identical,
 // and appends packed-vs-hashed rows to the machine-readable perf
 // trajectory (BENCH_rock.json / $ROCK_BENCH_JSON) for CI's perf-smoke
 // stage.links ratio gate.
@@ -142,8 +142,8 @@ BENCHMARK(BM_StrassenVsNaiveSquare)
 
 // ------------------------------------------- --compare-engines harness --
 
-/// Frozen CSR rows byte-equal: same row sizes, partners and counts.
-bool FrozenRowsEqual(const LinkMatrix& a, const LinkMatrix& b) {
+/// CSR rows byte-equal: same row sizes, partners and counts.
+bool RowsEqual(const LinkMatrix& a, const LinkMatrix& b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
     const LinkRowSpan x = a.FlatRow(static_cast<PointIndex>(i));
@@ -159,7 +159,7 @@ bool FrozenRowsEqual(const LinkMatrix& a, const LinkMatrix& b) {
 }
 
 // Packed vs hashed link computation on the Fig. 5 configuration: one shared
-// sample and neighbor graph per (n, θ), frozen rows cross-checked for
+// sample and neighbor graph per (n, θ), CSR rows cross-checked for
 // byte equality, timings appended to the perf trajectory. Returns nonzero
 // on any mismatch so CI fails loudly rather than gating on wrong rows.
 int RunEngineComparison(double scale, size_t max_n, size_t reps) {
@@ -226,14 +226,13 @@ int RunEngineComparison(double scale, size_t max_n, size_t reps) {
       for (size_t rep = 0; rep < reps; ++rep) {
         Timer timer;
         LinkMatrix links = ComputeLinks(*graph);
-        links.Freeze();
         const double s = timer.ElapsedSeconds();
         if (rep == 0 || s < hashed_s) {
           hashed_s = s;
           hashed_links = std::move(links);
         }
       }
-      if (!FrozenRowsEqual(packed_links, hashed_links)) {
+      if (!RowsEqual(packed_links, hashed_links)) {
         std::fprintf(stderr,
                      "ENGINE MISMATCH at n=%zu θ=%.1f — link rows differ\n", n,
                      theta);

@@ -2,7 +2,8 @@
 // strategies on basket data (the O(n²) phase of §4.5):
 //   * exact serial all-pairs Jaccard (the paper's algorithm),
 //   * exact multithreaded all-pairs,
-//   * MinHash/LSH candidate generation + exact verification,
+//   * MinHash/LSH candidate generation + exact verification (the packed
+//     engine's kLsh pass),
 // plus the end-to-end clustering alternatives at high θ:
 //   * full merge engine vs the link-component shortcut.
 //
@@ -31,10 +32,10 @@
 #include "core/rock.h"
 #include "core/sampling.h"
 #include "diag/metrics.h"
+#include "graph/link_engine.h"
 #include "graph/neighbor_engine.h"
 #include "graph/parallel.h"
 #include "similarity/jaccard.h"
-#include "similarity/minhash.h"
 #include "synth/basket_generator.h"
 #include "synth/mushroom_generator.h"
 
@@ -75,10 +76,18 @@ BENCHMARK(BM_NeighborsExactParallel)
     ->ArgsProduct({{1000, 2000, 4000}, {2, 4, 8}})
     ->Unit(benchmark::kMillisecond);
 
+/// θ = 0.5 neighbor graph through the packed engine's LSH banding pass.
+Result<NeighborGraph> LshNeighbors(const TransactionJaccard& sim) {
+  PackedNeighborOptions opt;
+  opt.strategy = PackedStrategy::kLsh;
+  return ComputeNeighborsPacked(sim, 0.5, opt);
+}
+
 void BM_NeighborsLsh(benchmark::State& state) {
   TransactionDataset ds = MakeBaskets(static_cast<size_t>(state.range(0)));
+  TransactionJaccard sim(ds);
   for (auto _ : state) {
-    auto g = ComputeNeighborsLsh(ds, 0.5);
+    auto g = LshNeighbors(sim);
     benchmark::DoNotOptimize(g->NumEdges());
   }
 }
@@ -115,8 +124,9 @@ BENCHMARK(BM_NeighborsExactSerialWideTx)->Arg(1000)->Arg(2000)
 
 void BM_NeighborsLshWideTx(benchmark::State& state) {
   TransactionDataset ds = MakeWideBaskets(static_cast<size_t>(state.range(0)));
+  TransactionJaccard sim(ds);
   for (auto _ : state) {
-    auto g = ComputeNeighborsLsh(ds, 0.5);
+    auto g = LshNeighbors(sim);
     benchmark::DoNotOptimize(g->NumEdges());
   }
 }
@@ -127,12 +137,10 @@ void BM_LinksParallelThreads(benchmark::State& state) {
   TransactionDataset ds = MakeBaskets(2000);
   TransactionJaccard sim(ds);
   auto graph = ComputeNeighbors(sim, 0.5);
-  ParallelOptions opt;
+  PackedLinkOptions opt;
   opt.num_threads = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
-    LinkMatrix links = opt.num_threads == 1
-                           ? ComputeLinks(*graph)
-                           : ComputeLinksParallel(*graph, opt);
+    const LinkMatrix links = ComputeLinksPacked(*graph, opt);
     benchmark::DoNotOptimize(links.size());
   }
 }

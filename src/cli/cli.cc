@@ -13,7 +13,6 @@
 #include "baselines/linkage_hierarchical.h"
 #include "common/string_util.h"
 #include "common/timer.h"
-#include "core/components.h"
 #include "core/pipeline.h"
 #include "core/sweep.h"
 #include "core/rock.h"
@@ -31,7 +30,6 @@
 #include "serve/stream.h"
 #include "util/failpoint.h"
 #include "similarity/jaccard.h"
-#include "similarity/minhash.h"
 #include "synth/basket_generator.h"
 #include "synth/fund_generator.h"
 #include "synth/mushroom_generator.h"
@@ -374,40 +372,86 @@ int CmdGen(const std::vector<std::string>& args, std::string* out,
   return 0;
 }
 
-/// Maps the --neighbor-engine, --link-engine and --merge-engine names onto
-/// `opt`, shared by `cluster` and `pipeline`. Returns 0, or exit code 2
-/// after rendering an error for an unknown name.
-int ApplyEngineFlags(const std::string& neighbor_engine,
-                     const std::string& link_engine,
-                     const std::string& merge_engine, RockOptions* opt,
-                     std::string* out) {
-  if (neighbor_engine == "packed") {
+// Thread, LSH and engine flags of the clustering core, shared by
+// `cluster` and the pipeline commands: one definition keeps their names,
+// defaults and transfer into RockOptions identical.
+struct RockFlagValues {
+  size_t threads = 1;
+  size_t graph_threads = kGraphThreadsInherit;
+  size_t row_chunk = 16;
+  size_t lsh_bands = 0;
+  size_t lsh_rows = 0;
+  size_t lsh_seed = 0x5eed;
+  std::string neighbor_engine = "packed";
+  std::string link_engine = "packed";
+  std::string merge_engine = "parallel";
+};
+
+void RegisterRockFlags(FlagSet& flags, RockFlagValues* v) {
+  flags.AddSize("threads", &v->threads,
+                "worker threads for the neighbor/link phases "
+                "(0 = all cores; results are identical at any count)");
+  flags.AddSize("graph-threads", &v->graph_threads,
+                "worker threads for just the neighbor/link phases "
+                "(default: follow --threads; 0 = all cores)");
+  flags.AddSize("row-chunk", &v->row_chunk,
+                "rows claimed per parallel scheduling step "
+                "(with --threads > 1)");
+  flags.AddSize("lsh-bands", &v->lsh_bands,
+                "LSH bands for --neighbor-engine=lsh|auto "
+                "(0 = auto-tune from θ)");
+  flags.AddSize("lsh-rows", &v->lsh_rows,
+                "LSH rows per band (0 = auto-tune from θ)");
+  flags.AddSize("lsh-seed", &v->lsh_seed, "LSH hash-family seed");
+  flags.AddString("neighbor-engine", &v->neighbor_engine,
+                  "packed | scalar | lsh | auto neighbor-graph engine "
+                  "(packed/scalar are exact and identical, lsh is "
+                  "precision-1 approximate, auto picks per dataset)");
+  flags.AddString("link-engine", &v->link_engine,
+                  "packed | hashed link-count engine (link rows are "
+                  "identical, packed is faster)");
+  flags.AddString("merge-engine", &v->merge_engine,
+                  "parallel | hashed merge-engine layout (results "
+                  "are identical, parallel is fastest)");
+}
+
+/// Transfers the parsed group into `opt`. Returns 0, or exit code 2 after
+/// rendering an error for an unknown engine name.
+int ApplyRockFlags(const RockFlagValues& v, RockOptions* opt,
+                   std::string* out) {
+  opt->num_threads = v.threads;
+  opt->graph_threads = v.graph_threads;
+  opt->row_chunk = v.row_chunk;
+  opt->lsh_bands = v.lsh_bands;
+  opt->lsh_rows = v.lsh_rows;
+  opt->lsh_seed = v.lsh_seed;
+  if (v.neighbor_engine == "packed") {
     opt->neighbor_engine = NeighborEngineKind::kPacked;
-  } else if (neighbor_engine == "scalar") {
+  } else if (v.neighbor_engine == "scalar") {
     opt->neighbor_engine = NeighborEngineKind::kScalar;
-  } else if (neighbor_engine == "lsh") {
+  } else if (v.neighbor_engine == "lsh") {
     opt->neighbor_engine = NeighborEngineKind::kLsh;
-  } else if (neighbor_engine == "auto") {
+  } else if (v.neighbor_engine == "auto") {
     opt->neighbor_engine = NeighborEngineKind::kAuto;
   } else {
     EmitStr(out,
-            "error: unknown --neighbor-engine '" + neighbor_engine + "'\n");
+            "error: unknown --neighbor-engine '" + v.neighbor_engine + "'\n");
     return 2;
   }
-  if (link_engine == "packed") {
+  if (v.link_engine == "packed") {
     opt->link_engine = LinkEngineKind::kPacked;
-  } else if (link_engine == "hashed") {
+  } else if (v.link_engine == "hashed") {
     opt->link_engine = LinkEngineKind::kHashed;
   } else {
-    EmitStr(out, "error: unknown --link-engine '" + link_engine + "'\n");
+    EmitStr(out, "error: unknown --link-engine '" + v.link_engine + "'\n");
     return 2;
   }
-  if (merge_engine == "parallel") {
+  if (v.merge_engine == "parallel") {
     opt->merge_engine = MergeEngineKind::kParallel;
-  } else if (merge_engine == "hashed") {
+  } else if (v.merge_engine == "hashed") {
     opt->merge_engine = MergeEngineKind::kHashed;
   } else {
-    EmitStr(out, "error: unknown --merge-engine '" + merge_engine + "'\n");
+    EmitStr(out, "error: unknown --merge-engine '" + v.merge_engine + "'\n");
     return 2;
   }
   return 0;
@@ -431,16 +475,7 @@ int CmdCluster(const std::vector<std::string>& args, std::string* out,
   bool label_first = false;
   bool profiles = false;
   int64_t seed = 42;
-  size_t threads = 1;
-  size_t graph_threads = kGraphThreadsInherit;
-  size_t row_chunk = 16;
-  size_t lsh_bands = 0;
-  size_t lsh_rows = 0;
-  size_t lsh_seed = 0x5eed;
-  std::string neighbors = "exact";
-  std::string merge_engine = "parallel";
-  std::string neighbor_engine = "packed";
-  std::string link_engine = "packed";
+  RockFlagValues rock;
 
   FlagSet flags;
   flags.AddString("input", &input, "input file");
@@ -471,33 +506,7 @@ int CmdCluster(const std::vector<std::string>& args, std::string* out,
   flags.AddBool("profiles", &profiles,
                 "print per-cluster frequent attribute values (csv inputs)");
   flags.AddInt("seed", &seed, "seed (kmeans)");
-  flags.AddSize("threads", &threads,
-                "worker threads for neighbors/links (0 = all cores, rock)");
-  flags.AddSize("graph-threads", &graph_threads,
-                "worker threads for just the neighbor/link phases "
-                "(default: follow --threads; 0 = all cores, rock)");
-  flags.AddSize("row-chunk", &row_chunk,
-                "rows claimed per parallel scheduling step (rock, "
-                "with --threads > 1)");
-  flags.AddSize("lsh-bands", &lsh_bands,
-                "LSH bands for --neighbor-engine=lsh|auto "
-                "(0 = auto-tune from θ, rock)");
-  flags.AddSize("lsh-rows", &lsh_rows,
-                "LSH rows per band (0 = auto-tune from θ, rock)");
-  flags.AddSize("lsh-seed", &lsh_seed, "LSH hash-family seed (rock)");
-  flags.AddString("neighbors", &neighbors,
-                  "exact | lsh (MinHash-accelerated; basket/store inputs, "
-                  "rock only)");
-  flags.AddString("merge-engine", &merge_engine,
-                  "parallel | hashed merge-engine layout (rock; "
-                  "results are identical, parallel is fastest)");
-  flags.AddString("neighbor-engine", &neighbor_engine,
-                  "packed | scalar | lsh | auto neighbor-graph engine "
-                  "(rock; packed/scalar are exact and identical, lsh is "
-                  "precision-1 approximate, auto picks per dataset)");
-  flags.AddString("link-engine", &link_engine,
-                  "packed | hashed link-count engine (rock; link rows are "
-                  "identical, packed is faster)");
+  RegisterRockFlags(flags, &rock);
   if (help_only) {
     EmitStr(out, "rock cluster — cluster a data file\n" + flags.Help());
     return 0;
@@ -541,37 +550,9 @@ int CmdCluster(const std::vector<std::string>& args, std::string* out,
       opt.num_clusters = k;
       opt.outlier_stop_multiple = stop_multiple;
       opt.min_cluster_support = min_support;
-      opt.num_threads = threads;
-      opt.graph_threads = graph_threads;
-      opt.row_chunk = row_chunk;
-      opt.lsh_bands = lsh_bands;
-      opt.lsh_rows = lsh_rows;
-      opt.lsh_seed = lsh_seed;
       opt.diag.invariant_check_every = check_invariants;
-      if (int rc = ApplyEngineFlags(neighbor_engine, link_engine,
-                                    merge_engine, &opt, out);
-          rc != 0) {
-        return rc;
-      }
-      Result<RockResult> result = Status::Internal("unreachable");
-      if (neighbors == "lsh") {
-        if (loaded->is_categorical) {
-          EmitStr(out,
-                  "error: --neighbors=lsh needs basket/store input\n");
-          return 1;
-        }
-        auto graph = ComputeNeighborsLsh(loaded->transactions, theta);
-        if (!graph.ok()) {
-          EmitStr(out, "error: " + graph.status().ToString() + "\n");
-          return 1;
-        }
-        result = RockClusterer(opt).ClusterGraph(*graph);
-      } else if (neighbors == "exact") {
-        result = RockClusterer(opt).Cluster(*sim);
-      } else {
-        EmitStr(out, "error: unknown --neighbors '" + neighbors + "'\n");
-        return 2;
-      }
+      if (int rc = ApplyRockFlags(rock, &opt, out); rc != 0) return rc;
+      Result<RockResult> result = RockClusterer(opt).Cluster(*sim);
       if (!result.ok()) {
         EmitStr(out, "error: " + result.status().ToString() + "\n");
         return 1;
@@ -698,18 +679,10 @@ struct PipelineFlagValues {
   double stop_multiple = 3.0;
   size_t min_support = 5;
   size_t check_invariants = 0;
-  size_t threads = 1;
-  size_t graph_threads = kGraphThreadsInherit;
-  size_t row_chunk = 16;
   size_t label_threads = 1;
-  size_t lsh_bands = 0;
-  size_t lsh_rows = 0;
-  size_t lsh_seed = 0x5eed;
   int64_t seed = 42;
   std::string failpoints;
-  std::string merge_engine = "parallel";
-  std::string neighbor_engine = "packed";
-  std::string link_engine = "packed";
+  RockFlagValues rock;
 };
 
 void RegisterPipelineFlags(FlagSet& flags, PipelineFlagValues* v) {
@@ -717,34 +690,10 @@ void RegisterPipelineFlags(FlagSet& flags, PipelineFlagValues* v) {
                   "deterministic fault-injection schedule, e.g. "
                   "'store.read=fire_on_hit_10:error' "
                   "(docs/ROBUSTNESS.md; debug builds only)");
-  flags.AddSize("threads", &v->threads,
-                "worker threads for the neighbor/link phases "
-                "(0 = all cores; results are identical at any count)");
-  flags.AddSize("graph-threads", &v->graph_threads,
-                "worker threads for just the neighbor/link phases "
-                "(default: follow --threads; 0 = all cores)");
-  flags.AddSize("row-chunk", &v->row_chunk,
-                "rows claimed per parallel scheduling step "
-                "(with --threads > 1)");
+  RegisterRockFlags(flags, &v->rock);
   flags.AddSize("label-threads", &v->label_threads,
                 "worker threads for the disk labeling phase "
                 "(0 = all cores; assignments are identical at any count)");
-  flags.AddSize("lsh-bands", &v->lsh_bands,
-                "LSH bands for --neighbor-engine=lsh|auto "
-                "(0 = auto-tune from θ)");
-  flags.AddSize("lsh-rows", &v->lsh_rows,
-                "LSH rows per band (0 = auto-tune from θ)");
-  flags.AddSize("lsh-seed", &v->lsh_seed, "LSH hash-family seed");
-  flags.AddString("neighbor-engine", &v->neighbor_engine,
-                  "packed | scalar | lsh | auto neighbor-graph engine "
-                  "(packed/scalar are exact and identical, lsh is "
-                  "precision-1 approximate, auto picks per dataset)");
-  flags.AddString("link-engine", &v->link_engine,
-                  "packed | hashed link-count engine (link rows are "
-                  "identical, packed is faster)");
-  flags.AddString("merge-engine", &v->merge_engine,
-                  "parallel | hashed merge-engine layout (results "
-                  "are identical, parallel is fastest)");
   flags.AddSize("check-invariants", &v->check_invariants,
                 "validate merge bookkeeping every Nth merge (0 = off)");
   flags.AddDouble("theta", &v->theta, "neighbor threshold θ");
@@ -768,18 +717,8 @@ int ApplyPipelineFlags(const PipelineFlagValues& v, PipelineOptions* opt,
   opt->rock.outlier_stop_multiple = v.stop_multiple;
   opt->rock.min_cluster_support = v.min_support;
   opt->rock.diag.invariant_check_every = v.check_invariants;
-  opt->rock.num_threads = v.threads;
-  opt->rock.graph_threads = v.graph_threads;
-  opt->rock.row_chunk = v.row_chunk;
   opt->rock.label_threads = v.label_threads;
-  opt->rock.lsh_bands = v.lsh_bands;
-  opt->rock.lsh_rows = v.lsh_rows;
-  opt->rock.lsh_seed = v.lsh_seed;
-  if (int rc = ApplyEngineFlags(v.neighbor_engine, v.link_engine,
-                                v.merge_engine, &opt->rock, out);
-      rc != 0) {
-    return rc;
-  }
+  if (int rc = ApplyRockFlags(v.rock, &opt->rock, out); rc != 0) return rc;
   opt->sample_size = v.sample_size;
   opt->labeling.fraction = v.labeling_fraction;
   opt->seed = static_cast<uint64_t>(v.seed);

@@ -44,8 +44,10 @@ LinkComponentsResult LinkComponents(const NeighborGraph& graph,
   UnionFind uf(n);
   for (size_t p = 0; p < n; ++p) {
     if (pruned[p]) continue;
-    for (const auto& [q, count] : links.Row(static_cast<PointIndex>(p))) {
-      if (count > 0 && !pruned[q]) {
+    const LinkRowSpan row = links.FlatRow(static_cast<PointIndex>(p));
+    for (size_t i = 0; i < row.size; ++i) {
+      const PointIndex q = row.partners[i];
+      if (row.counts[i] > 0 && !pruned[q]) {
         uf.Union(static_cast<PointIndex>(p), q);
       }
     }

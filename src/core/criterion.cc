@@ -6,29 +6,16 @@ namespace rock {
 
 uint64_t IntraClusterLinks(const LinkMatrix& links,
                            const std::vector<PointIndex>& members) {
+  // Binary searches over the sorted CSR rows; integer sums.
   uint64_t total = 0;
-  if (links.frozen()) {
-    // Binary searches over the sorted CSR rows; keeps a FromCsr-built
-    // matrix from materializing its hash rows just to sum a clustering.
-    // Integer sums, so the value matches the hash path exactly.
-    for (size_t a = 0; a + 1 < members.size(); ++a) {
-      const LinkRowSpan row = links.FlatRow(members[a]);
-      const PointIndex* lo = row.partners;
-      const PointIndex* hi = row.partners + row.size;
-      for (size_t b = a + 1; b < members.size(); ++b) {
-        const PointIndex* it = std::lower_bound(lo, hi, members[b]);
-        if (it != hi && *it == members[b]) {
-          total += row.counts[static_cast<size_t>(it - row.partners)];
-        }
-      }
-    }
-    return total;
-  }
   for (size_t a = 0; a + 1 < members.size(); ++a) {
-    const auto& row = links.Row(members[a]);
+    const LinkRowSpan row = links.FlatRow(members[a]);
+    const PointIndex* end = row.partners + row.size;
     for (size_t b = a + 1; b < members.size(); ++b) {
-      auto it = row.find(members[b]);
-      if (it != row.end()) total += it->second;
+      const PointIndex* it = std::lower_bound(row.partners, end, members[b]);
+      if (it != end && *it == members[b]) {
+        total += row.counts[it - row.partners];
+      }
     }
   }
   return total;
@@ -38,11 +25,11 @@ double CriterionFunction(const Clustering& clustering, const LinkMatrix& links,
                          const GoodnessMeasure& goodness) {
   const auto& clusters = clustering.clusters;
   const auto& assignment = clustering.assignment;
-  // On a frozen matrix: one pass over the CSR upper triangles, summing each
-  // intra-cluster pair into its cluster through the assignment — O(Σ row
-  // sizes) instead of a binary search per member pair. Integer sums, so
-  // each cluster's total equals IntraClusterLinks exactly.
-  const bool one_pass = links.frozen() && assignment.size() == links.size();
+  // One pass over the CSR upper triangles, summing each intra-cluster pair
+  // into its cluster through the assignment — O(Σ row sizes) instead of a
+  // binary search per member pair. Integer sums, so each cluster's total
+  // equals IntraClusterLinks exactly.
+  const bool one_pass = assignment.size() == links.size();
   std::vector<uint64_t> intra(one_pass ? clusters.size() : 0, 0);
   if (one_pass) {
     for (size_t p = 0; p < links.size(); ++p) {

@@ -22,8 +22,8 @@ uint64_t IntraClusterLinks(const LinkMatrix& links,
                            const std::vector<PointIndex>& members);
 
 /// Evaluates E_l for a clustering against point-level link counts.
-/// Outlier points contribute nothing. On a frozen matrix whose size matches
-/// the assignment, the intra-cluster sums come from one pass over the CSR
+/// Outlier points contribute nothing. When the matrix size matches the
+/// assignment, the intra-cluster sums come from one pass over the CSR
 /// rows through `clustering.assignment`, which must be the inverse of
 /// `clustering.clusters` (as Clustering::FromAssignment and the merge
 /// engines build it); otherwise each cluster is summed by

@@ -1,28 +1,23 @@
 // The merge engines' shared link phase: RockOptions::link_engine decides
-// whether Fig. 4 runs through the bit-plane popcount engine or the original
-// hashed scatter (see core/merge_engine.h).
+// whether Fig. 4 runs through the packed link engine or the serial hashed
+// reference (see core/merge_engine.h).
 
 #include "core/merge_engine.h"
 #include "graph/link_engine.h"
-#include "graph/parallel.h"
 
 namespace rock::internal {
 
 LinkMatrix ComputeLinkStage(const NeighborGraph& graph,
                             const RockOptions& options,
                             diag::MetricsRegistry* metrics) {
-  const size_t graph_threads = options.EffectiveGraphThreads();
-  if (options.link_engine == LinkEngineKind::kPacked) {
-    PackedLinkOptions packed;
-    packed.num_threads = graph_threads;
-    packed.row_chunk = options.row_chunk;
-    packed.metrics = metrics;
-    return ComputeLinksPacked(graph, packed);
+  if (options.link_engine == LinkEngineKind::kHashed) {
+    return ComputeLinks(graph);
   }
-  return graph_threads == 1
-             ? ComputeLinks(graph)
-             : ComputeLinksParallel(graph,
-                                    {graph_threads, options.row_chunk});
+  PackedLinkOptions packed;
+  packed.num_threads = options.EffectiveGraphThreads();
+  packed.row_chunk = options.row_chunk;
+  packed.metrics = metrics;
+  return ComputeLinksPacked(graph, packed);
 }
 
 }  // namespace rock::internal

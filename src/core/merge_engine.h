@@ -37,11 +37,10 @@ RockResult RunParallelMergeEngine(const NeighborGraph& graph,
                                   const RockOptions& options);
 
 /// Link phase shared by both merge engines: dispatches on
-/// RockOptions::link_engine (bit-plane popcount engine vs the Fig. 4
+/// RockOptions::link_engine (packed link engine vs the serial Fig. 4
 /// hashed scatter, graph/link_engine.h vs graph/links.cc) with the run's
 /// thread count and metrics sink threaded through. Either engine yields a
-/// matrix with byte-identical frozen CSR rows; the packed one returns it
-/// already frozen.
+/// matrix with byte-identical CSR rows.
 LinkMatrix ComputeLinkStage(const NeighborGraph& graph,
                             const RockOptions& options,
                             diag::MetricsRegistry* metrics);

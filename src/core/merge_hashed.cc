@@ -17,7 +17,6 @@
 #include "core/criterion.h"
 #include "core/merge_engine.h"
 #include "diag/invariants.h"
-#include "graph/parallel.h"
 #include "util/updatable_heap.h"
 
 namespace rock::internal {
@@ -61,11 +60,7 @@ class HashedMergeEngine {
     result.stats.num_pruned_points = pruned_.size();
 
     Timer link_timer;
-    LinkMatrix links = ComputeLinkStage(graph_, options_, metrics_);
-    // This engine probes hash rows throughout the merge loop; materialize
-    // them here so a packed-built (CSR-only) matrix charges the conversion
-    // to the link stage instead of to stage.merge.
-    links.MaterializeHashRows();
+    const LinkMatrix links = ComputeLinkStage(graph_, options_, metrics_);
     result.stats.link_seconds = link_timer.ElapsedSeconds();
     if (metrics_ != nullptr) {
       metrics_->RecordSeconds("stage.links", result.stats.link_seconds);
@@ -152,10 +147,12 @@ class HashedMergeEngine {
     for (PointIndex p = 0; p < n; ++p) {
       if (states_[p] == nullptr) continue;
       auto& state = *states_[p];
-      for (const auto& [q, count] : links.Row(p)) {
+      const LinkRowSpan row = links.FlatRow(p);
+      for (size_t i = 0; i < row.size; ++i) {
+        const PointIndex q = row.partners[i];
         if (states_[q] == nullptr) continue;
-        state.links.emplace(q, count);
-        state.local.InsertOrUpdate(q, goodness_.Goodness(count, 1, 1));
+        state.links.emplace(q, row.counts[i]);
+        state.local.InsertOrUpdate(q, goodness_.Goodness(row.counts[i], 1, 1));
       }
     }
     for (PointIndex p = 0; p < n; ++p) {
@@ -349,9 +346,12 @@ class HashedMergeEngine {
       const ClusterState& sc = *states_[c];
       std::unordered_map<ClusterId, uint64_t> expect;
       for (PointIndex p : sc.members) {
-        for (const auto& [q, count] : links.Row(p)) {
-          const ClusterId other = cluster_of[q];
-          if (other != kNoCluster && other != c) expect[other] += count;
+        const LinkRowSpan row = links.FlatRow(p);
+        for (size_t i = 0; i < row.size; ++i) {
+          const ClusterId other = cluster_of[row.partners[i]];
+          if (other != kNoCluster && other != c) {
+            expect[other] += row.counts[i];
+          }
         }
       }
       if (expect.size() != sc.links.size()) {

@@ -126,8 +126,7 @@ class ParallelMergeEngine {
     result.stats.num_pruned_points = pruned_.size();
 
     Timer link_timer;
-    LinkMatrix links = ComputeLinkStage(graph_, options_, metrics_);
-    links.Freeze();  // CSR layout for the init scans (packed: already built)
+    const LinkMatrix links = ComputeLinkStage(graph_, options_, metrics_);
     result.stats.link_seconds = link_timer.ElapsedSeconds();
     if (metrics_ != nullptr) {
       metrics_->RecordSeconds("stage.links", result.stats.link_seconds);
@@ -218,7 +217,7 @@ class ParallelMergeEngine {
     }
     next_id_ = static_cast<ClusterId>(n);
 
-    // Seed cross-links from the frozen CSR rows: partners arrive already
+    // Seed cross-links from the CSR rows: partners arrive already
     // sorted, so each row fills in one pass and the best entry falls out
     // of the scan (ascending ids ⇒ ties keep the smaller key, matching
     // the heaps' order). Links to pruned points are dropped: pruned
@@ -624,9 +623,12 @@ class ParallelMergeEngine {
       // (d) Cross-links against a fresh recount from the point links.
       std::unordered_map<ClusterId, uint64_t> expect;
       for (PointIndex p : sc.members) {
-        for (const auto& [q, count] : links.Row(p)) {
-          const ClusterId other = cluster_of[q];
-          if (other != kNoCluster && other != c) expect[other] += count;
+        const LinkRowSpan row = links.FlatRow(p);
+        for (size_t i = 0; i < row.size; ++i) {
+          const ClusterId other = cluster_of[row.partners[i]];
+          if (other != kNoCluster && other != c) {
+            expect[other] += row.counts[i];
+          }
         }
       }
       if (expect.size() != live_entries) {

@@ -80,11 +80,11 @@ enum class NeighborEngineKind {
 enum class LinkEngineKind {
   /// Bit-plane popcount engine (graph/link_engine.h): neighbor rows packed
   /// into 64-bit word planes, link(p, q) = popcount(row_p AND row_q) over
-  /// exactly the pairs sharing ≥ 1 neighbor — the default. Falls back to
-  /// the hashed scatter when the plane exceeds the packing budget.
+  /// exactly the pairs sharing ≥ 1 neighbor — the default. Runs its exact
+  /// scatter pass when the plane exceeds the packing budget.
   kPacked,
-  /// The original Fig. 4 pair-counting scatter (graph/links.cc). Kept
-  /// verbatim as the reference oracle for differential tests and perf
+  /// The original Fig. 4 pair-counting scatter (graph/links.cc), serial.
+  /// Kept verbatim as the reference oracle for differential tests and perf
   /// baselines.
   kHashed,
 };
@@ -169,7 +169,7 @@ struct RockOptions {
   NeighborEngineKind neighbor_engine = NeighborEngineKind::kPacked;
 
   /// Link-computation engine; see LinkEngineKind. Both engines produce
-  /// byte-identical frozen link rows.
+  /// byte-identical CSR link rows.
   LinkEngineKind link_engine = LinkEngineKind::kPacked;
 
   /// Worker threads for the disk labeling phase (§4.6, the only stage that

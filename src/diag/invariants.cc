@@ -76,7 +76,10 @@ void CheckLinkMatrixSymmetry(const LinkMatrix& links,
   uint64_t total = 0;
   for (size_t i = 0; i < n; ++i) {
     const auto pi = static_cast<PointIndex>(i);
-    for (const auto& [j, count] : links.Row(pi)) {
+    const LinkRowSpan row = links.FlatRow(pi);
+    for (size_t e = 0; e < row.size; ++e) {
+      const PointIndex j = row.partners[e];
+      const LinkCount count = row.counts[e];
       ++entries;
       total += count;
       if (j == pi) {

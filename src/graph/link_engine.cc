@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "graph/parallel.h"
 #include "util/thread_pool.h"
 
 namespace rock {
@@ -17,28 +16,11 @@ namespace {
 /// ascending partner order.
 using UpperRow = std::vector<std::pair<PointIndex, LinkCount>>;
 
-/// Budget miss: run the Fig. 4 hashed scatter (the oracle path) and freeze
-/// it, so the caller still gets the frozen-CSR contract.
-LinkMatrix FallbackHashed(const NeighborGraph& graph,
-                          const PackedLinkOptions& options) {
-  diag::AddCounter(options.metrics, "links.fallback_hashed", 1);
-  LinkMatrix links =
-      options.num_threads == 1
-          ? ComputeLinks(graph)
-          : ComputeLinksParallel(graph,
-                                 {options.num_threads, options.row_chunk});
-  links.Freeze();
-  diag::AddCounter(options.metrics, "links.candidate_pairs", 0);
-  diag::AddCounter(options.metrics, "links.pairs_counted",
-                   links.NumNonZeroPairs());
-  return links;
-}
-
 /// Serial mirror + CSR assembly shared by both counting passes. Row r
 /// receives its mirrored partners p < r while the outer loop passes
 /// p = 0..r−1 (ascending) and then its own upper partners q > r
 /// (ascending), so every row comes out strictly ascending — the exact
-/// layout LinkMatrix::Freeze() produces.
+/// layout LinkMatrixBuilder::Build() produces.
 LinkMatrix AssembleFromUpper(size_t n, const std::vector<UpperRow>& upper) {
   std::vector<size_t> sizes(n, 0);
   for (size_t p = 0; p < n; ++p) {
@@ -85,8 +67,7 @@ void EmitTouched(size_t p, std::vector<uint64_t>* touched,
 
 /// Records the pair counters and assembles the CSR. Both counting passes
 /// enumerate exactly the pairs sharing a neighbor, so every candidate is a
-/// stored non-zero pair and the two counters agree; they differ only on the
-/// hashed fallback.
+/// stored non-zero pair and the two counters agree.
 LinkMatrix FinishUpper(const std::vector<UpperRow>& upper,
                        diag::MetricsRegistry* metrics) {
   uint64_t pairs = 0;
@@ -171,11 +152,9 @@ LinkMatrix ComputeLinksPacked(const NeighborGraph& graph,
                               const PackedLinkOptions& options) {
   const size_t n = graph.size();
   if (n < 2) {
-    LinkMatrix links(n);
-    links.Freeze();
     diag::AddCounter(options.metrics, "links.candidate_pairs", 0);
     diag::AddCounter(options.metrics, "links.pairs_counted", 0);
-    return links;
+    return LinkMatrix(n);
   }
   const size_t words = (n + 63) / 64;
 
@@ -196,11 +175,11 @@ LinkMatrix ComputeLinksPacked(const NeighborGraph& graph,
                    ? PackedLinkStrategy::kScatter
                    : PackedLinkStrategy::kPlane;
   }
-  if (strategy == PackedLinkStrategy::kScatter) {
+  // The plane runs only when it fits the budget; otherwise the scatter,
+  // which is exact, needs no plane and emits the same rows.
+  if (strategy == PackedLinkStrategy::kScatter ||
+      words > options.pack_budget_bytes / sizeof(uint64_t) / n) {
     return ScatterPass(graph, options);
-  }
-  if (words > options.pack_budget_bytes / sizeof(uint64_t) / n) {
-    return FallbackHashed(graph, options);
   }
 
   // Plane in BFS order: plane row r holds N(order[r]) as an n-bit set over

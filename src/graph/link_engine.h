@@ -52,15 +52,15 @@
 //
 // The BFS order, every row's candidate set and its counts depend only on
 // the input graph, and the mirror/CSR assembly pass is serial and
-// index-ordered, so the frozen CSR rows are byte-identical to
-// LinkMatrix::Freeze() of the Fig. 4 hashed oracle at any thread count
-// (enforced by tests/link_engine_test.cc).
+// index-ordered, so the CSR rows are byte-identical to the Fig. 4
+// reference (ComputeLinks) at any thread count (enforced by
+// tests/link_engine_test.cc).
 //
-// Packing is gated by a memory budget (kDefaultPackedBytes, shared with the
-// neighbor engine): an n-point graph needs n·⌈n/64⌉ plane words, and when
-// the plane is selected but exceeds the budget the engine falls back to
-// the hashed scatter and says so via the links.fallback_hashed counter
-// (the dense scatter needs no plane and ignores the budget).
+// The plane is gated by a memory budget (kDefaultPackedBytes, shared with
+// the neighbor engine): an n-point graph needs n·⌈n/64⌉ plane words, which
+// crosses the default 256 MiB at n ≈ 46.3k. When the plane does not fit,
+// the engine runs the scatter pass instead, whatever the strategy; the
+// scatter needs no plane, so the engine has no budget failure mode.
 
 #ifndef ROCK_GRAPH_LINK_ENGINE_H_
 #define ROCK_GRAPH_LINK_ENGINE_H_
@@ -75,14 +75,13 @@
 namespace rock {
 
 /// Which counting pass ComputeLinksPacked runs. Both are exact and emit
-/// byte-identical frozen rows; only speed and memory differ.
+/// byte-identical rows; only speed and memory differ.
 enum class PackedLinkStrategy {
   /// Cost-model choice between the two (see the header comment); the
   /// default outside tests and benches.
   kAuto,
-  /// Bit-plane popcount sweep. Over the packing budget this degrades to
-  /// the hashed Fig. 4 oracle (links.fallback_hashed), preserving the
-  /// historical contract for callers that pinned the plane.
+  /// Bit-plane popcount sweep, when the plane fits pack_budget_bytes;
+  /// over the budget the scatter pass runs instead.
   kPlane,
   /// Dense ScanCount scatter; O(n) scratch per worker, no budget gate.
   kScatter,
@@ -100,9 +99,8 @@ struct PackedLinkOptions {
   /// Counting-pass selection; kAuto outside tests.
   PackedLinkStrategy strategy = PackedLinkStrategy::kAuto;
 
-  /// Cap on total plane bytes (n · ⌈n/64⌉ words). Over budget the plane
-  /// pass falls back to the hashed Fig. 4 scatter; the dense scatter pass
-  /// is not affected.
+  /// Cap on total plane bytes (n · ⌈n/64⌉ words). Over budget the scatter
+  /// pass runs in place of the plane; the scatter itself has no budget.
   size_t pack_budget_bytes = kDefaultPackedBytes;
 
   /// Metrics sink (may be null): links.candidate_pairs (pairs sharing ≥ 1
@@ -110,15 +108,14 @@ struct PackedLinkOptions {
   /// equals the stored non-zero pairs), links.pairs_counted (stored
   /// non-zero pairs), links.span_words (Σ of the plane rows' nonzero word
   /// spans after the BFS relabeling; plane pass only), links.scatter_pass
-  /// (1 when the dense ScanCount pass ran), links.fallback_hashed (1 when
-  /// the budget forced the hashed path) and the stage.links.pack timer.
+  /// (1 when the dense ScanCount pass ran, chosen or forced by the budget)
+  /// and the stage.links.pack timer.
   diag::MetricsRegistry* metrics = nullptr;
 };
 
-/// Computes all pairwise link counts with the bit-plane popcount engine.
-/// Returns the matrix already frozen (CSR rows built directly, sorted
-/// ascending); the hash rows materialize lazily on first Row()/Add().
-/// Byte-identical frozen rows vs ComputeLinks(graph) + Freeze().
+/// Computes all pairwise link counts with the packed engine, building the
+/// CSR rows directly (sorted ascending). Byte-identical rows vs
+/// ComputeLinks(graph).
 LinkMatrix ComputeLinksPacked(const NeighborGraph& graph,
                               const PackedLinkOptions& options = {});
 

@@ -1,124 +1,61 @@
 #include "graph/links.h"
 
 #include <algorithm>
+#include <cassert>
+#include <utility>
 
 namespace rock {
 
-LinkMatrix LinkMatrix::FromCsr(size_t n, std::vector<size_t> offsets,
+LinkMatrix LinkMatrix::FromCsr([[maybe_unused]] size_t n,
+                               std::vector<size_t> offsets,
                                std::vector<PointIndex> partners,
                                std::vector<LinkCount> counts) {
   assert(offsets.size() == n + 1);
-  assert(offsets.empty() || offsets.back() == partners.size());
+  assert(offsets.back() == partners.size());
   assert(partners.size() == counts.size());
-  LinkMatrix m(n);
-  m.frozen_ = true;
-  m.rows_valid_ = false;
+  LinkMatrix m(0);
   m.csr_offsets_ = std::move(offsets);
   m.csr_partners_ = std::move(partners);
   m.csr_counts_ = std::move(counts);
   return m;
 }
 
-void LinkMatrix::EnsureHashRows() const {
-  if (rows_valid_) return;
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    const size_t begin = csr_offsets_[i];
-    const size_t end = csr_offsets_[i + 1];
-    auto& row = rows_[i];
-    row.reserve(end - begin);
-    for (size_t e = begin; e < end; ++e) {
-      row.emplace(csr_partners_[e], csr_counts_[e]);
-    }
-  }
-  rows_valid_ = true;
-}
-
 LinkCount LinkMatrix::Count(PointIndex i, PointIndex j) const {
   if (i == j) return 0;
-  if (frozen_) {
-    // The CSR arrays are authoritative while frozen; binary search keeps
-    // queries from materializing lazy hash rows.
-    const size_t begin = csr_offsets_[i];
-    const size_t end = csr_offsets_[i + 1];
-    const PointIndex* lo = csr_partners_.data() + begin;
-    const PointIndex* hi = csr_partners_.data() + end;
-    const PointIndex* it = std::lower_bound(lo, hi, j);
-    if (it == hi || *it != j) return 0;
-    return csr_counts_[begin + static_cast<size_t>(it - lo)];
-  }
-  const auto& row = rows_[i];
-  auto it = row.find(j);
-  return it == row.end() ? 0 : it->second;
-}
-
-void LinkMatrix::Add(PointIndex i, PointIndex j, LinkCount delta) {
-  // A point has no links to itself (Count(i, i) == 0 by convention).
-  // Without this guard the two symmetric writes below would both hit the
-  // same diagonal cell and store 2·delta of garbage.
-  if (i == j) return;
-  EnsureHashRows();
-  Thaw();
-  rows_[i][j] += delta;
-  rows_[j][i] += delta;
-}
-
-void LinkMatrix::AddDirected(PointIndex i, PointIndex j, LinkCount delta) {
-  EnsureHashRows();
-  Thaw();
-  rows_[i][j] += delta;
-}
-
-void LinkMatrix::Thaw() {
-  if (!frozen_) return;
-  frozen_ = false;
-  csr_offsets_.clear();
-  csr_offsets_.shrink_to_fit();
-  csr_partners_.clear();
-  csr_partners_.shrink_to_fit();
-  csr_counts_.clear();
-  csr_counts_.shrink_to_fit();
-}
-
-void LinkMatrix::Freeze() {
-  if (frozen_) return;
-  size_t total = 0;
-  for (const auto& row : rows_) total += row.size();
-  csr_offsets_.assign(rows_.size() + 1, 0);
-  csr_partners_.clear();
-  csr_partners_.reserve(total);
-  csr_counts_.clear();
-  csr_counts_.reserve(total);
-  std::vector<std::pair<PointIndex, LinkCount>> entries;
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    entries.assign(rows_[i].begin(), rows_[i].end());
-    std::sort(entries.begin(), entries.end());
-    for (const auto& [j, count] : entries) {
-      csr_partners_.push_back(j);
-      csr_counts_.push_back(count);
-    }
-    csr_offsets_[i + 1] = csr_partners_.size();
-  }
-  frozen_ = true;
-}
-
-size_t LinkMatrix::NumNonZeroPairs() const {
-  if (frozen_) return csr_partners_.size() / 2;
-  size_t total = 0;
-  for (const auto& row : rows_) total += row.size();
-  return total / 2;
+  const LinkRowSpan row = FlatRow(i);
+  const PointIndex* end = row.partners + row.size;
+  const PointIndex* it = std::lower_bound(row.partners, end, j);
+  if (it == end || *it != j) return 0;
+  return row.counts[it - row.partners];
 }
 
 uint64_t LinkMatrix::TotalLinks() const {
-  if (frozen_) {
-    uint64_t total = 0;
-    for (const LinkCount count : csr_counts_) total += count;
-    return total / 2;
-  }
   uint64_t total = 0;
-  for (const auto& row : rows_) {
-    for (const auto& [_, count] : row) total += count;
-  }
+  for (const LinkCount count : csr_counts_) total += count;
   return total / 2;
+}
+
+LinkMatrix LinkMatrixBuilder::Build() const {
+  const size_t n = rows_.size();
+  size_t total = 0;
+  for (const auto& row : rows_) total += row.size();
+  std::vector<size_t> offsets(n + 1, 0);
+  std::vector<PointIndex> partners;
+  partners.reserve(total);
+  std::vector<LinkCount> counts;
+  counts.reserve(total);
+  std::vector<std::pair<PointIndex, LinkCount>> entries;
+  for (size_t i = 0; i < n; ++i) {
+    entries.assign(rows_[i].begin(), rows_[i].end());
+    std::sort(entries.begin(), entries.end());
+    for (const auto& [j, count] : entries) {
+      partners.push_back(j);
+      counts.push_back(count);
+    }
+    offsets[i + 1] = partners.size();
+  }
+  return LinkMatrix::FromCsr(n, std::move(offsets), std::move(partners),
+                             std::move(counts));
 }
 
 namespace {
@@ -126,7 +63,7 @@ namespace {
 /// Fig. 4 with per-row hash maps — works at any scale.
 LinkMatrix ComputeLinksSparse(const NeighborGraph& graph) {
   const size_t n = graph.size();
-  LinkMatrix links(n);
+  LinkMatrixBuilder links(n);
   for (size_t i = 0; i < n; ++i) {
     const auto& nbrs = graph.nbrlist[i];
     for (size_t j = 0; j + 1 < nbrs.size(); ++j) {
@@ -135,15 +72,14 @@ LinkMatrix ComputeLinksSparse(const NeighborGraph& graph) {
       }
     }
   }
-  return links;
+  return links.Build();
 }
 
 /// Fig. 4 with a flat upper-triangular count array. Neighbor lists are
 /// sorted, so for a < b the cell index is a·n − a(a+1)/2 + (b − a − 1).
 LinkMatrix ComputeLinksDenseAccumulate(const NeighborGraph& graph) {
   const size_t n = graph.size();
-  LinkMatrix links(n);
-  if (n < 2) return links;
+  LinkMatrixBuilder links(n);
   std::vector<LinkCount> tri(n * (n - 1) / 2, 0);
   // Cell (a, b), a < b, lives at offset(a) + b where offset(a) is computed
   // in modular size_t arithmetic (it is "base − a − 1", which underflows
@@ -170,7 +106,7 @@ LinkMatrix ComputeLinksDenseAccumulate(const NeighborGraph& graph) {
       }
     }
   }
-  return links;
+  return links.Build();
 }
 
 }  // namespace
@@ -187,7 +123,7 @@ LinkMatrix ComputeLinks(const NeighborGraph& graph,
 
 LinkMatrix ComputeLinksBruteForce(const NeighborGraph& graph) {
   const size_t n = graph.size();
-  LinkMatrix links(n);
+  LinkMatrixBuilder links(n);
   for (PointIndex i = 0; i < n; ++i) {
     for (PointIndex j = i + 1; j < n; ++j) {
       const auto& a = graph.nbrlist[i];
@@ -210,7 +146,7 @@ LinkMatrix ComputeLinksBruteForce(const NeighborGraph& graph) {
       if (common > 0) links.Add(i, j, static_cast<LinkCount>(common));
     }
   }
-  return links;
+  return links.Build();
 }
 
 }  // namespace rock

@@ -6,23 +6,18 @@
 // link to every pair of its neighbors — O(Σ m_i²) time, far cheaper than
 // squaring the n×n adjacency matrix when the graph is sparse (§4.4).
 //
-// Storage is two-layered: per-row hash maps absorb the incremental,
-// unordered Add() stream during counting, and Freeze() then lays the same
-// data out as a CSR-style flat structure (one offset array, one sorted
-// partner array, one parallel count array) for the merge engine's
-// sequential row scans. The hash rows stay alive behind the same API and
-// serve as the oracle for the flat layout in tests and invariant checks.
-//
-// The packed link engine (graph/link_engine.h) builds the CSR layout
-// directly via FromCsr(); such matrices start frozen with empty hash rows,
-// which materialize lazily from the CSR arrays on the first call that needs
-// them (Row(), Add(), AddDirected()). Either construction order yields the
-// same observable matrix.
+// A LinkMatrix is a read-only CSR value: one offset array, one partner
+// array sorted ascending within each row, and one parallel count array.
+// The counts are fixed once computed (§3.2) and the Fig. 3 merge and the
+// criterion only read them, so there is no mutation API. The packed link
+// engine (graph/link_engine.h) builds the arrays directly via FromCsr();
+// the reference algorithms below accumulate into a LinkMatrixBuilder,
+// whose Build() sorts each row into the same layout. Either construction
+// yields byte-identical rows for the same counts.
 
 #ifndef ROCK_GRAPH_LINKS_H_
 #define ROCK_GRAPH_LINKS_H_
 
-#include <cassert>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -34,75 +29,38 @@ namespace rock {
 /// Number of common neighbors between a pair of points/clusters.
 using LinkCount = uint32_t;
 
-/// One frozen (CSR) row of a LinkMatrix: `size` partners in strictly
-/// ascending order with their link counts in the parallel array.
+/// One CSR row of a LinkMatrix: `size` partners in strictly ascending
+/// order with their link counts in the parallel array.
 struct LinkRowSpan {
   const PointIndex* partners = nullptr;
   const LinkCount* counts = nullptr;
   size_t size = 0;
 };
 
-/// Symmetric sparse matrix of link counts. Rows store only non-zero
-/// entries; both (i, j) and (j, i) are represented so that row iteration
-/// sees every partner of a point.
+/// Symmetric sparse matrix of link counts in CSR form. Rows store only
+/// non-zero entries; both (i, j) and (j, i) are represented so that row
+/// iteration sees every partner of a point.
 class LinkMatrix {
  public:
   /// Creates an all-zero n×n link matrix.
-  explicit LinkMatrix(size_t n) : rows_(n) {}
+  explicit LinkMatrix(size_t n) : csr_offsets_(n + 1, 0) {}
 
   /// Adopts a prebuilt CSR layout (row i spans [offsets[i], offsets[i+1])
   /// of the partner/count arrays; partners strictly ascending per row, both
-  /// (i, j) and (j, i) present). The matrix starts frozen; hash rows
-  /// materialize lazily. Offsets must have n + 1 entries and the arrays
-  /// equal lengths.
+  /// (i, j) and (j, i) present). Offsets must have n + 1 entries and the
+  /// arrays equal lengths.
   static LinkMatrix FromCsr(size_t n, std::vector<size_t> offsets,
                             std::vector<PointIndex> partners,
                             std::vector<LinkCount> counts);
 
   /// Number of points n.
-  size_t size() const { return rows_.size(); }
+  size_t size() const { return csr_offsets_.size() - 1; }
 
   /// link(i, j); zero if no entry. i == j returns 0 by convention.
   LinkCount Count(PointIndex i, PointIndex j) const;
 
-  /// Adds `delta` to link(i, j) (and symmetrically link(j, i)). Diagonal
-  /// adds (i == j) are ignored: a point has no links to itself, and the
-  /// symmetric double-write would otherwise corrupt the cell with 2·delta.
-  /// Invalidates a previous Freeze().
-  void Add(PointIndex i, PointIndex j, LinkCount delta);
-
-  /// Writes only row i — deliberately breaking the symmetry/diagonal
-  /// invariants. For tests and the diag oracles (diag/invariants.h), which
-  /// need corrupted matrices to prove the checkers fire; never called by
-  /// the clustering code. Invalidates a previous Freeze().
-  void AddDirected(PointIndex i, PointIndex j, LinkCount delta);
-
-  /// Non-zero entries of row i: partner → count. Materializes the hash
-  /// rows from the CSR arrays on a FromCsr-built matrix.
-  const std::unordered_map<PointIndex, LinkCount>& Row(PointIndex i) const {
-    EnsureHashRows();
-    return rows_[i];
-  }
-
-  /// Forces lazy hash rows into existence on a FromCsr-built matrix
-  /// (no-op otherwise). Row() does this implicitly; callers that want the
-  /// materialization cost charged to a specific stage call it up front.
-  void MaterializeHashRows() const { EnsureHashRows(); }
-
-  /// Builds the CSR flat layout (sorted partner/count arrays plus a row
-  /// offset array) from the hash rows. Idempotent; O(Σ rowᵢ log rowᵢ).
-  /// Any later Add()/AddDirected() drops the flat arrays again, so
-  /// incremental construction and frozen iteration cannot be interleaved
-  /// by accident.
-  void Freeze();
-
-  /// True once Freeze() has run and no Add has invalidated it.
-  bool frozen() const { return frozen_; }
-
-  /// Row i of the CSR layout, partners strictly ascending. Requires
-  /// frozen().
+  /// Row i, partners strictly ascending.
   LinkRowSpan FlatRow(PointIndex i) const {
-    assert(frozen_);
     const size_t begin = csr_offsets_[i];
     const size_t end = csr_offsets_[i + 1];
     return LinkRowSpan{csr_partners_.data() + begin,
@@ -110,40 +68,51 @@ class LinkMatrix {
   }
 
   /// Number of stored non-zero unordered pairs.
-  size_t NumNonZeroPairs() const;
+  size_t NumNonZeroPairs() const { return csr_partners_.size() / 2; }
 
   /// Sum of link counts over all unordered pairs.
   uint64_t TotalLinks() const;
 
  private:
-  /// Drops the flat arrays when a mutation invalidates them. Callers
-  /// materialize the hash rows first — they become the only copy.
-  void Thaw();
-
-  /// Fills empty hash rows from the CSR arrays (FromCsr construction).
-  /// Invariant: rows_valid_ || frozen_, so the data always exists somewhere.
-  void EnsureHashRows() const;
-
-  // Hash rows; mutable so a logically-const read can materialize them from
-  // the CSR arrays. rows_valid_ is false only between FromCsr() and the
-  // first materialization.
-  mutable std::vector<std::unordered_map<PointIndex, LinkCount>> rows_;
-  mutable bool rows_valid_ = true;
-
-  // CSR flat layout, valid only while frozen_: row i spans
-  // [csr_offsets_[i], csr_offsets_[i+1]) of the partner/count arrays.
-  bool frozen_ = false;
+  // Row i spans [csr_offsets_[i], csr_offsets_[i+1]) of the partner/count
+  // arrays.
   std::vector<size_t> csr_offsets_;
   std::vector<PointIndex> csr_partners_;
   std::vector<LinkCount> csr_counts_;
 };
 
+/// Write-only accumulator for the reference link algorithms: absorbs an
+/// unordered stream of symmetric Add()s in per-row hash maps, then Build()
+/// sorts each row into a LinkMatrix.
+class LinkMatrixBuilder {
+ public:
+  /// Starts an all-zero n×n matrix.
+  explicit LinkMatrixBuilder(size_t n) : rows_(n) {}
+
+  /// Adds `delta` to link(i, j) and symmetrically link(j, i). Diagonal
+  /// adds (i == j) are ignored: a point has no links to itself, and the
+  /// symmetric double-write would otherwise corrupt the cell with 2·delta.
+  void Add(PointIndex i, PointIndex j, LinkCount delta) {
+    if (i == j) return;
+    rows_[i][j] += delta;
+    rows_[j][i] += delta;
+  }
+
+  /// Lays the rows out as CSR, partners sorted ascending.
+  /// O(Σ rowᵢ log rowᵢ).
+  LinkMatrix Build() const;
+
+ private:
+  std::vector<std::unordered_map<PointIndex, LinkCount>> rows_;
+};
+
 /// Computes all pairwise link counts from the neighbor graph using the
 /// pair-counting algorithm of paper Fig. 4. The O(Σ m_i²) pair updates hit
-/// either per-row hash maps (sparse, scales to any n) or — when the
-/// triangular count array fits in `dense_budget_bytes` — a flat dense
-/// accumulator that is ~10× faster per update and is converted to the
-/// sparse representation at the end. Results are identical.
+/// either the per-row hash maps of a LinkMatrixBuilder (sparse, scales to
+/// any n) or — when the triangular count array fits in
+/// `dense_budget_bytes` — a flat dense accumulator that is ~10× faster per
+/// update and hands its non-zero cells to the builder at the end. Results
+/// are identical.
 struct ComputeLinksOptions {
   /// Dense accumulation is used when n(n−1)/2 · 4 bytes fits this budget.
   size_t dense_budget_bytes = 256ull << 20;

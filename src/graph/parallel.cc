@@ -101,85 +101,4 @@ void SortUniqueParallel(std::vector<uint64_t>* keys, size_t num_threads) {
   keys->erase(std::unique(keys->begin(), keys->end()), keys->end());
 }
 
-LinkMatrix ComputeLinksParallel(const NeighborGraph& graph,
-                                const ParallelOptions& options) {
-  const size_t n = graph.size();
-  LinkMatrix links(n);
-  if (n < 2) return links;
-  const size_t num_threads = ResolveThreads(options.num_threads);
-
-  // Row offsets into the upper-triangular array: cell (a, b), a < b, lives
-  // at offset(a) + b (offset computed modularly; see links.cc).
-  auto row_offset = [n](size_t a) {
-    return a * n - a * (a + 1) / 2 - a - 1;
-  };
-
-  // Pass 1: writes per row a — for each point i and each position j in its
-  // sorted neighbor list, the pair loop writes (m_i − j − 1) cells in row
-  // nbrs[j].
-  std::vector<uint64_t> writes(n, 0);
-  for (size_t i = 0; i < n; ++i) {
-    const auto& nbrs = graph.nbrlist[i];
-    for (size_t j = 0; j + 1 < nbrs.size(); ++j) {
-      writes[nbrs[j]] += nbrs.size() - j - 1;
-    }
-  }
-  uint64_t total_writes = 0;
-  for (uint64_t w : writes) total_writes += w;
-
-  // Partition rows into contiguous ranges of ~equal write volume.
-  std::vector<size_t> range_begin;
-  range_begin.push_back(0);
-  if (num_threads > 1 && total_writes > 0) {
-    uint64_t acc = 0;
-    size_t next_cut = 1;
-    for (size_t a = 0; a < n && next_cut < num_threads; ++a) {
-      acc += writes[a];
-      if (acc * num_threads >= total_writes * next_cut) {
-        range_begin.push_back(a + 1);
-        ++next_cut;
-      }
-    }
-  }
-  while (range_begin.size() < num_threads) range_begin.push_back(n);
-  range_begin.push_back(n);
-
-  std::vector<LinkCount> tri(n * (n - 1) / 2, 0);
-  ParallelInvoke(num_threads, [&](size_t worker) {
-    const size_t lo = range_begin[worker];
-    const size_t hi = range_begin[worker + 1];
-    if (lo >= hi) return;
-    const auto lo_p = static_cast<PointIndex>(lo);
-    const auto hi_p = static_cast<PointIndex>(hi);
-    for (size_t i = 0; i < n; ++i) {
-      const auto& nbrs = graph.nbrlist[i];
-      if (nbrs.size() < 2) continue;
-      // Sorted list → the j positions whose row falls in [lo, hi) form a
-      // contiguous segment.
-      const auto seg_begin =
-          std::lower_bound(nbrs.begin(), nbrs.end(), lo_p);
-      const auto seg_end = std::lower_bound(seg_begin, nbrs.end(), hi_p);
-      for (auto it = seg_begin; it != seg_end; ++it) {
-        if (it + 1 == nbrs.end()) break;
-        const size_t off = row_offset(*it);
-        for (auto lt = it + 1; lt != nbrs.end(); ++lt) {
-          ++tri[off + *lt];
-        }
-      }
-    }
-  });
-
-  // Convert to the sparse representation (single-threaded, O(n²) scan).
-  for (size_t a = 0; a + 1 < n; ++a) {
-    const size_t off = row_offset(a);
-    for (size_t b = a + 1; b < n; ++b) {
-      if (tri[off + b] > 0) {
-        links.Add(static_cast<PointIndex>(a), static_cast<PointIndex>(b),
-                  tri[off + b]);
-      }
-    }
-  }
-  return links;
-}
-
 }  // namespace rock

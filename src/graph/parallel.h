@@ -1,19 +1,14 @@
 // librock — graph/parallel.h
 //
-// Multithreaded versions of the two O(n²)-ish phases that dominate ROCK's
-// runtime (paper §4.5 / Fig. 5): neighbor-graph construction (n²/2
-// similarity evaluations) and link computation (Σ mᵢ² pair updates).
-// Results are bit-identical to the serial ComputeNeighbors / ComputeLinks.
+// Multithreaded neighbor-graph construction (paper §4.5 / Fig. 5: n²/2
+// similarity evaluations) for similarities without a batch kernel, plus
+// the sharded sort the LSH candidate dedup uses. Results are bit-identical
+// to the serial ComputeNeighbors.
 //
-// Parallelization strategy:
-//   * neighbors — workers claim dynamic chunks of rows i and evaluate
-//     sim(i, j) for j > i into per-worker edge buffers; buffers are
-//     scattered into the final adjacency lists single-threaded (cheap,
-//     O(edges)).
-//   * links — the upper-triangular count array is partitioned into
-//     contiguous row ranges balanced by a precomputed per-row write count;
-//     every worker scans all neighbor lists but only touches its own rows,
-//     so no synchronization is needed on the hot path.
+// Workers claim dynamic chunks of rows i and evaluate sim(i, j) for j > i
+// into per-worker edge buffers; buffers are scattered into the final
+// adjacency lists single-threaded (cheap, O(edges)). The threaded link
+// pass lives in the packed link engine (graph/link_engine.h).
 
 #ifndef ROCK_GRAPH_PARALLEL_H_
 #define ROCK_GRAPH_PARALLEL_H_
@@ -21,7 +16,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/links.h"
 #include "graph/neighbors.h"
 #include "similarity/similarity.h"
 
@@ -39,12 +33,6 @@ struct ParallelOptions {
 Result<NeighborGraph> ComputeNeighborsParallel(
     const PointSimilarity& sim, double theta,
     const ParallelOptions& options = {});
-
-/// Parallel Fig. 4 link counting; equals ComputeLinks(graph).
-/// Uses a single dense upper-triangular accumulator (n(n−1)/2 counts), so
-/// memory is the same as the serial dense path regardless of thread count.
-LinkMatrix ComputeLinksParallel(const NeighborGraph& graph,
-                                const ParallelOptions& options = {});
 
 /// Sorts `keys` ascending and drops duplicates, sharded over `num_threads`
 /// workers (segment sorts in parallel, then a serial merge ladder). The

@@ -178,14 +178,14 @@ LinkMatrix ComputeLinksStrassen(const NeighborGraph& graph,
   const size_t n = graph.size();
   DenseMatrix a = AdjacencyMatrix(graph);
   DenseMatrix squared = std::move(StrassenMultiply(a, a, options)).value();
-  LinkMatrix links(n);
+  LinkMatrixBuilder links(n);
   for (PointIndex i = 0; i < n; ++i) {
     for (PointIndex j = static_cast<PointIndex>(i + 1); j < n; ++j) {
       const int64_t c = squared.At(i, j);
       if (c > 0) links.Add(i, j, static_cast<LinkCount>(c));
     }
   }
-  return links;
+  return links.Build();
 }
 
 }  // namespace rock

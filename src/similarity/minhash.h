@@ -8,7 +8,9 @@
 // preserving ROCK's semantics: every reported edge satisfies
 // sim(i, j) >= θ exactly (precision 1), while recall is controlled by the
 // banding parameters (probability of missing a pair at similarity s is
-// (1 − s^r)^b).
+// (1 − s^r)^b). This header holds the sketch, the banding math and the
+// bucket key; the banding pass itself is PackedStrategy::kLsh of the
+// packed neighbor engine (graph/neighbor_engine.h).
 
 #ifndef ROCK_SIMILARITY_MINHASH_H_
 #define ROCK_SIMILARITY_MINHASH_H_
@@ -18,7 +20,6 @@
 
 #include "common/status.h"
 #include "data/dataset.h"
-#include "graph/neighbors.h"
 
 namespace rock {
 
@@ -61,14 +62,6 @@ struct LshOptions {
   Status Validate() const;
 };
 
-/// Builds the θ-neighbor graph over basket transactions using MinHash
-/// banding for candidate generation and exact Jaccard verification.
-/// Guaranteed a subgraph of ComputeNeighbors(TransactionJaccard, θ);
-/// misses edges only when a truly-similar pair never collides in any band.
-Result<NeighborGraph> ComputeNeighborsLsh(const TransactionDataset& dataset,
-                                          double theta,
-                                          const LshOptions& options = {});
-
 /// Expected probability that a pair at similarity `s` becomes a candidate
 /// under the banding parameters: 1 − (1 − s^r)^b. Exposed for tests and
 /// for tuning recall targets.
@@ -86,8 +79,8 @@ LshOptions TuneLshOptions(double theta, uint64_t seed);
 
 /// Bucket key of one band slice (`rows` consecutive signature words),
 /// salted by the band index so equal slices in different bands land in
-/// distinct bucket spaces. Shared by ComputeNeighborsLsh and the packed
-/// neighbor engine's LSH pass so both bucket identically.
+/// distinct bucket spaces. The packed neighbor engine's LSH pass
+/// (graph/neighbor_engine.h) buckets with it.
 uint64_t LshBandKey(const uint64_t* slice, size_t rows, size_t band);
 
 }  // namespace rock

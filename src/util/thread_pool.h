@@ -1,9 +1,10 @@
 // librock — util/thread_pool.h
 //
 // Minimal fork-join helpers for the parallel neighbor/link computations
-// (graph/parallel.h). Workloads here are large, coarse-grained and
-// CPU-bound, so plain std::thread fork-join per call is the right shape —
-// no task queue, no futures.
+// (graph/parallel.h, graph/neighbor_engine.h, graph/link_engine.h).
+// Workloads here are large, coarse-grained and CPU-bound, so plain
+// std::thread fork-join per call is the right shape — no task queue, no
+// futures.
 
 #ifndef ROCK_UTIL_THREAD_POOL_H_
 #define ROCK_UTIL_THREAD_POOL_H_

@@ -21,6 +21,7 @@
 #include "data/disk_store.h"
 #include "data/transaction.h"
 #include "diag/invariants.h"
+#include "graph/link_engine.h"
 #include "graph/links.h"
 #include "graph/neighbors.h"
 #include "graph/parallel.h"
@@ -57,14 +58,24 @@ void ExpectLinksIdentical(const LinkMatrix& serial,
   EXPECT_EQ(serial.NumNonZeroPairs(), parallel.NumNonZeroPairs());
   EXPECT_EQ(serial.TotalLinks(), parallel.TotalLinks());
   for (size_t i = 0; i < serial.size(); ++i) {
-    const auto& row = serial.Row(static_cast<PointIndex>(i));
-    ASSERT_EQ(row.size(), parallel.Row(static_cast<PointIndex>(i)).size())
-        << "row " << i;
-    for (const auto& [j, count] : row) {
-      EXPECT_EQ(parallel.Count(static_cast<PointIndex>(i), j), count)
-          << "entry (" << i << ", " << j << ")";
+    const LinkRowSpan a = serial.FlatRow(static_cast<PointIndex>(i));
+    const LinkRowSpan b = parallel.FlatRow(static_cast<PointIndex>(i));
+    ASSERT_EQ(a.size, b.size) << "row " << i;
+    for (size_t e = 0; e < a.size; ++e) {
+      EXPECT_EQ(a.partners[e], b.partners[e]) << "row " << i;
+      EXPECT_EQ(a.counts[e], b.counts[e]) << "row " << i;
     }
   }
+}
+
+/// The threaded link pass: the packed engine at `par`'s thread count and
+/// row chunk.
+LinkMatrix ParallelLinks(const NeighborGraph& graph,
+                         const ParallelOptions& par) {
+  PackedLinkOptions opt;
+  opt.num_threads = par.num_threads;
+  opt.row_chunk = par.row_chunk;
+  return ComputeLinksPacked(graph, opt);
 }
 
 // θ × thread-count grid over a randomized dataset.
@@ -92,7 +103,7 @@ TEST_P(DifferentialTest, ParallelMatchesSerial) {
   EXPECT_TRUE(report.ok()) << report.violations().front().detail;
 
   const LinkMatrix serial_links = ComputeLinks(*serial);
-  const LinkMatrix parallel_links = ComputeLinksParallel(*serial, par);
+  const LinkMatrix parallel_links = ParallelLinks(*serial, par);
   ExpectLinksIdentical(serial_links, parallel_links);
 
   diag::InvariantReport link_report;
@@ -132,7 +143,7 @@ TEST_P(DifferentialSeedTest, ParallelMatchesSerialAcrossSeeds) {
   ASSERT_TRUE(parallel.ok());
   ExpectGraphsIdentical(*serial, *parallel);
   ExpectLinksIdentical(ComputeLinks(*serial),
-                       ComputeLinksParallel(*serial, par));
+                       ParallelLinks(*serial, par));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialSeedTest,
@@ -468,7 +479,6 @@ TEST_P(LinkEngineClusterDifferentialTest, PackedMatchesHashedEndToEnd) {
 
   // Engine-selection accounting: only the packed run packs bit planes, and
   // its candidate enumeration is exact (every candidate pair is stored).
-  EXPECT_EQ(packed->metrics.CounterOr("links.fallback_hashed"), 0u);
   EXPECT_EQ(packed->metrics.CounterOr("links.candidate_pairs"),
             packed->metrics.CounterOr("links.pairs_counted"));
   ASSERT_NE(packed->metrics.FindTimer("stage.links.pack"), nullptr);
@@ -685,7 +695,7 @@ TEST(DifferentialEdgeCaseTest, EmptyGraph) {
     ASSERT_TRUE(parallel.ok());
     ExpectGraphsIdentical(*serial, *parallel);
     EXPECT_EQ(parallel->NumEdges(), 0u);
-    const LinkMatrix links = ComputeLinksParallel(*parallel, par);
+    const LinkMatrix links = ParallelLinks(*parallel, par);
     EXPECT_EQ(links.NumNonZeroPairs(), 0u);
     EXPECT_EQ(links.TotalLinks(), 0u);
     ExpectLinksIdentical(ComputeLinks(*serial), links);
@@ -709,7 +719,7 @@ TEST(DifferentialEdgeCaseTest, AllNeighborsGraph) {
     ASSERT_TRUE(parallel.ok());
     ExpectGraphsIdentical(*serial, *parallel);
     EXPECT_EQ(parallel->NumEdges(), n * (n - 1) / 2);
-    const LinkMatrix links = ComputeLinksParallel(*parallel, par);
+    const LinkMatrix links = ParallelLinks(*parallel, par);
     ExpectLinksIdentical(ComputeLinks(*serial), links);
     // Complete graph: link(i, j) = n − 2 for every pair.
     EXPECT_EQ(links.Count(0, 1), static_cast<LinkCount>(n - 2));
@@ -734,7 +744,7 @@ TEST(DifferentialEdgeCaseTest, FewerPointsThanThreads) {
     }
     ParallelOptions par;
     par.num_threads = 8;
-    ExpectLinksIdentical(ComputeLinks(g), ComputeLinksParallel(g, par));
+    ExpectLinksIdentical(ComputeLinks(g), ParallelLinks(g, par));
   }
 }
 

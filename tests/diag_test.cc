@@ -197,8 +197,9 @@ TEST(InvariantOracleTest, DetectsSelfLoopAndAsymmetry) {
 }
 
 TEST(InvariantOracleTest, DetectsZeroAndSelfLinkEntries) {
-  LinkMatrix links(3);
-  links.Add(0, 1, 0);  // stored zero
+  // A stored zero at (0, 1) and its mirror (1, 0).
+  const LinkMatrix links =
+      LinkMatrix::FromCsr(3, {0, 1, 2, 2}, {1, 0}, {0, 0});
   diag::InvariantReport report;
   diag::CheckLinkMatrixSymmetry(links, &report);
   ASSERT_FALSE(report.ok());
@@ -206,12 +207,11 @@ TEST(InvariantOracleTest, DetectsZeroAndSelfLinkEntries) {
 }
 
 TEST(InvariantOracleTest, DetectsStoredDiagonalEntry) {
-  // Add(i, i, d) is a guarded no-op, so a stored diagonal can only come
-  // from memory corruption; plant one with the AddDirected test hook and
-  // prove the links.self oracle still catches it.
-  LinkMatrix links(3);
-  links.Add(0, 1, 2);
-  links.AddDirected(1, 1, 4);
+  // No engine stores a diagonal, so one can only come from memory
+  // corruption; plant one in row 1 through FromCsr and prove the
+  // links.self oracle still catches it.
+  const LinkMatrix links =
+      LinkMatrix::FromCsr(3, {0, 1, 3, 3}, {1, 0, 1}, {2, 2, 4});
   diag::InvariantReport report;
   diag::CheckLinkMatrixSymmetry(links, &report);
   ASSERT_FALSE(report.ok());
@@ -219,9 +219,9 @@ TEST(InvariantOracleTest, DetectsStoredDiagonalEntry) {
 }
 
 TEST(InvariantOracleTest, DetectsAsymmetricLinkCounts) {
-  LinkMatrix links(3);
-  links.Add(0, 1, 2);
-  links.AddDirected(0, 1, 1);  // forward row only: 3 vs reverse 2
+  // Forward row says 3, reverse row says 2.
+  const LinkMatrix links =
+      LinkMatrix::FromCsr(3, {0, 1, 2, 2}, {1, 0}, {3, 2});
   diag::InvariantReport report;
   diag::CheckLinkMatrixSymmetry(links, &report);
   ASSERT_FALSE(report.ok());
@@ -230,8 +230,10 @@ TEST(InvariantOracleTest, DetectsAsymmetricLinkCounts) {
 
 TEST(InvariantOracleTest, DetectsLinkRecountMismatch) {
   const NeighborGraph g = SmallGraph();
-  LinkMatrix links = ComputeLinks(g);
-  links.Add(0, 3, 2);  // spurious link to the isolated point
+  // The triangle's true links (1 on each pair) plus a spurious, symmetric
+  // link (0, 3) = 2 to the isolated point.
+  const LinkMatrix links = LinkMatrix::FromCsr(
+      4, {0, 3, 5, 7, 8}, {1, 2, 3, 0, 2, 0, 1, 0}, {1, 1, 2, 1, 1, 1, 1, 2});
   diag::InvariantReport report;
   diag::CheckLinksMatchGraph(g, links, &report);
   ASSERT_FALSE(report.ok());

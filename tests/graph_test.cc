@@ -208,18 +208,21 @@ TEST(LinksTest, SymmetricStorage) {
 TEST(LinksTest, DiagonalAddIsIgnored) {
   // Regression: Add(i, i, d) used to perform both symmetric writes on the
   // same cell, storing 2d on the diagonal. It must be a no-op instead.
-  LinkMatrix links(3);
-  links.Add(1, 1, 5);
-  EXPECT_EQ(links.Count(1, 1), 0u);
-  EXPECT_TRUE(links.Row(1).empty());
-  EXPECT_EQ(links.NumNonZeroPairs(), 0u);
-  EXPECT_EQ(links.TotalLinks(), 0u);
+  LinkMatrixBuilder builder(3);
+  builder.Add(1, 1, 5);
+  const LinkMatrix diagonal_only = builder.Build();
+  EXPECT_EQ(diagonal_only.Count(1, 1), 0u);
+  EXPECT_EQ(diagonal_only.FlatRow(1).size, 0u);
+  EXPECT_EQ(diagonal_only.NumNonZeroPairs(), 0u);
+  EXPECT_EQ(diagonal_only.TotalLinks(), 0u);
   // Off-diagonal behaviour is unchanged.
-  links.Add(0, 2, 3);
-  links.Add(2, 2, 7);
+  builder.Add(0, 2, 3);
+  builder.Add(2, 2, 7);
+  const LinkMatrix links = builder.Build();
   EXPECT_EQ(links.Count(0, 2), 3u);
   EXPECT_EQ(links.Count(2, 0), 3u);
   EXPECT_EQ(links.Count(2, 2), 0u);
+  EXPECT_EQ(links.FlatRow(2).size, 1u);
   EXPECT_EQ(links.TotalLinks(), 3u);
 }
 

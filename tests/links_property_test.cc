@@ -2,8 +2,8 @@
 // silently switches between a flat triangular accumulator and per-row hash
 // maps based on dense_budget_bytes; the two paths must be indistinguishable
 // at EVERY budget boundary (0, exactly-fits, one byte short). A fuzz loop of
-// random Add/Count sequences then cross-checks LinkMatrix bookkeeping
-// against a naive map model.
+// random LinkMatrixBuilder::Add / Count sequences then cross-checks the
+// built CSR against a naive map model.
 
 #include <gtest/gtest.h>
 
@@ -35,17 +35,19 @@ NeighborGraph RandomGraph(uint64_t seed, double theta) {
   return std::move(ComputeNeighbors(sim, theta)).value();
 }
 
+/// Byte-identical CSR: same size, and every row has the same partners and
+/// counts in the same order.
 void ExpectSameMatrix(const LinkMatrix& a, const LinkMatrix& b) {
   ASSERT_EQ(a.size(), b.size());
   EXPECT_EQ(a.NumNonZeroPairs(), b.NumNonZeroPairs());
   EXPECT_EQ(a.TotalLinks(), b.TotalLinks());
   for (size_t i = 0; i < a.size(); ++i) {
-    const auto& row = a.Row(static_cast<PointIndex>(i));
-    ASSERT_EQ(row.size(), b.Row(static_cast<PointIndex>(i)).size())
-        << "row " << i;
-    for (const auto& [j, count] : row) {
-      EXPECT_EQ(b.Count(static_cast<PointIndex>(i), j), count)
-          << "entry (" << i << ", " << j << ")";
+    const LinkRowSpan x = a.FlatRow(static_cast<PointIndex>(i));
+    const LinkRowSpan y = b.FlatRow(static_cast<PointIndex>(i));
+    ASSERT_EQ(x.size, y.size) << "row " << i;
+    for (size_t e = 0; e < x.size; ++e) {
+      ASSERT_EQ(x.partners[e], y.partners[e]) << "row " << i;
+      ASSERT_EQ(x.counts[e], y.counts[e]) << "row " << i;
     }
   }
 }
@@ -111,9 +113,8 @@ TEST(LinksBudgetBoundaryTest, TinyGraphsEveryBudget) {
 
 // -------------------------------------------------------- CSR flat layout --
 
-// Freeze() must lay out exactly the hash rows' content, sorted: same
-// partners, same counts, strictly ascending ids, against the brute-force
-// oracle as ground truth.
+// ComputeLinks must emit each row sorted: strictly ascending partners with
+// the brute-force counts, and no more entries than the oracle row holds.
 TEST(LinkMatrixCsrTest, FrozenRowsMatchHashRowsAndBruteForce) {
   const uint64_t seed = 87;
   ROCK_TRACE_SEED(seed);
@@ -121,15 +122,12 @@ TEST(LinkMatrixCsrTest, FrozenRowsMatchHashRowsAndBruteForce) {
     SCOPED_TRACE(::testing::Message() << "theta = " << theta);
     const NeighborGraph g = RandomGraph(seed, theta);
     const LinkMatrix oracle = ComputeLinksBruteForce(g);
-    LinkMatrix links = ComputeLinks(g);
-    EXPECT_FALSE(links.frozen());
-    links.Freeze();
-    ASSERT_TRUE(links.frozen());
+    const LinkMatrix links = ComputeLinks(g);
 
     for (size_t i = 0; i < links.size(); ++i) {
       const auto p = static_cast<PointIndex>(i);
       const LinkRowSpan flat = links.FlatRow(p);
-      ASSERT_EQ(flat.size, links.Row(p).size()) << "row " << i;
+      ASSERT_EQ(flat.size, oracle.FlatRow(p).size) << "row " << i;
       for (size_t e = 0; e < flat.size; ++e) {
         if (e > 0) {
           EXPECT_LT(flat.partners[e - 1], flat.partners[e])
@@ -142,13 +140,13 @@ TEST(LinkMatrixCsrTest, FrozenRowsMatchHashRowsAndBruteForce) {
   }
 }
 
+// Building the same input twice gives identical CSR.
 TEST(LinkMatrixCsrTest, FreezeIsIdempotent) {
-  LinkMatrix links(4);
-  links.Add(0, 1, 3);
-  links.Add(1, 2, 5);
-  links.Freeze();
-  links.Freeze();  // no-op
-  ASSERT_TRUE(links.frozen());
+  LinkMatrixBuilder builder(4);
+  builder.Add(0, 1, 3);
+  builder.Add(1, 2, 5);
+  const LinkMatrix links = builder.Build();
+  ExpectSameMatrix(links, builder.Build());
   const LinkRowSpan row = links.FlatRow(1);
   ASSERT_EQ(row.size, 2u);
   EXPECT_EQ(row.partners[0], 0u);
@@ -157,40 +155,52 @@ TEST(LinkMatrixCsrTest, FreezeIsIdempotent) {
   EXPECT_EQ(row.counts[1], 5u);
 }
 
+// A built matrix is a snapshot: later adds reach only the next Build(),
+// which equals a fresh build of the whole input.
 TEST(LinkMatrixCsrTest, AddThawsAndRefreezeSeesNewData) {
-  LinkMatrix links(3);
-  links.Add(0, 1, 1);
-  links.Freeze();
-  ASSERT_TRUE(links.frozen());
-  links.Add(0, 2, 7);  // mutation drops the flat arrays
-  EXPECT_FALSE(links.frozen());
-  links.Freeze();
-  const LinkRowSpan row = links.FlatRow(0);
+  LinkMatrixBuilder builder(3);
+  builder.Add(0, 1, 1);
+  const LinkMatrix first = builder.Build();
+  builder.Add(0, 2, 7);
+  const LinkMatrix second = builder.Build();
+  EXPECT_EQ(first.FlatRow(0).size, 1u);
+  EXPECT_EQ(first.Count(0, 2), 0u);
+  const LinkRowSpan row = second.FlatRow(0);
   ASSERT_EQ(row.size, 2u);
   EXPECT_EQ(row.partners[1], 2u);
   EXPECT_EQ(row.counts[1], 7u);
+
+  LinkMatrixBuilder fresh(3);
+  fresh.Add(0, 2, 7);
+  fresh.Add(0, 1, 1);
+  ExpectSameMatrix(second, fresh.Build());
 }
 
 TEST(LinkMatrixCsrTest, EmptyAndZeroRowGraphs) {
-  LinkMatrix empty(0);
-  empty.Freeze();
-  EXPECT_TRUE(empty.frozen());
+  EXPECT_EQ(LinkMatrix(0).size(), 0u);
+  EXPECT_EQ(LinkMatrixBuilder(0).Build().size(), 0u);
 
-  LinkMatrix sparse(5);  // no entries at all
-  sparse.Freeze();
-  for (PointIndex p = 0; p < 5; ++p) {
-    EXPECT_EQ(sparse.FlatRow(p).size, 0u);
+  // No entries at all, whichever way the matrix is made.
+  for (const LinkMatrix& sparse :
+       {LinkMatrix(5), LinkMatrixBuilder(5).Build()}) {
+    ASSERT_EQ(sparse.size(), 5u);
+    EXPECT_EQ(sparse.NumNonZeroPairs(), 0u);
+    EXPECT_EQ(sparse.TotalLinks(), 0u);
+    for (PointIndex p = 0; p < 5; ++p) {
+      EXPECT_EQ(sparse.FlatRow(p).size, 0u);
+    }
   }
 }
 
-// Fuzz: random symmetric matrices, frozen, every flat row checked against
-// the hash row it was built from.
+// Fuzz: random symmetric adds, built, every flat row checked against a
+// std::map model of the same adds.
 TEST(LinkMatrixCsrTest, FuzzFlatRowsMatchHashRows) {
   const uint64_t base_seed = 9119;
   for (uint64_t round = 0; round < 8; ++round) {
     ROCK_SEEDED_RNG(rng, base_seed + round);
     const size_t n = 2 + static_cast<size_t>(rng.UniformInt(0, 40));
-    LinkMatrix links(n);
+    LinkMatrixBuilder builder(n);
+    std::vector<std::map<PointIndex, LinkCount>> model(n);
     const auto adds = static_cast<int>(rng.UniformInt(0, 300));
     for (int op = 0; op < adds; ++op) {
       const auto i = static_cast<PointIndex>(
@@ -198,21 +208,20 @@ TEST(LinkMatrixCsrTest, FuzzFlatRowsMatchHashRows) {
       auto j = static_cast<PointIndex>(
           rng.UniformInt(0, static_cast<int>(n) - 1));
       if (i == j) j = (j + 1) % static_cast<PointIndex>(n);
-      links.Add(i, j, static_cast<LinkCount>(rng.UniformInt(1, 4)));
+      const auto delta = static_cast<LinkCount>(rng.UniformInt(1, 4));
+      builder.Add(i, j, delta);
+      model[i][j] += delta;
+      model[j][i] += delta;
     }
-    links.Freeze();
+    const LinkMatrix links = builder.Build();
     for (size_t i = 0; i < n; ++i) {
-      const auto p = static_cast<PointIndex>(i);
-      const auto& hash_row = links.Row(p);
-      const LinkRowSpan flat = links.FlatRow(p);
-      ASSERT_EQ(flat.size, hash_row.size()) << "row " << i;
-      for (size_t e = 0; e < flat.size; ++e) {
-        if (e > 0) {
-          ASSERT_LT(flat.partners[e - 1], flat.partners[e]);
-        }
-        const auto it = hash_row.find(flat.partners[e]);
-        ASSERT_NE(it, hash_row.end());
-        ASSERT_EQ(flat.counts[e], it->second);
+      const LinkRowSpan flat = links.FlatRow(static_cast<PointIndex>(i));
+      ASSERT_EQ(flat.size, model[i].size()) << "row " << i;
+      size_t e = 0;
+      for (const auto& [j, count] : model[i]) {  // ascending, like the CSR
+        ASSERT_EQ(flat.partners[e], j) << "row " << i;
+        ASSERT_EQ(flat.counts[e], count) << "row " << i;
+        ++e;
       }
     }
   }
@@ -220,9 +229,9 @@ TEST(LinkMatrixCsrTest, FuzzFlatRowsMatchHashRows) {
 
 // -------------------------------------------- engine-agnostic invariants --
 
-// Both link engines — hashed scatter + Freeze() and the bit-plane packed
-// path — must satisfy the same structural laws. Parameterized so each law
-// runs verbatim against each engine's frozen output. The parameter is plain
+// Both link engines — the hashed Fig. 4 reference and the packed engine —
+// must satisfy the same structural laws. Parameterized so each law runs
+// verbatim against each engine's output. The parameter is plain
 // data with no pointers or padding: the test names that gtest lists embed a
 // byte dump of it, and those names must be the same on every build.
 enum class LinkEngineKind : uint64_t { kHashed, kPacked };
@@ -234,11 +243,7 @@ struct EngineCase {
 };
 
 LinkMatrix BuildLinks(const EngineCase& c, const NeighborGraph& g) {
-  if (c.engine == LinkEngineKind::kHashed) {
-    LinkMatrix links = ComputeLinks(g);
-    links.Freeze();
-    return links;
-  }
+  if (c.engine == LinkEngineKind::kHashed) return ComputeLinks(g);
   PackedLinkOptions opt;
   opt.num_threads = c.num_threads;
   opt.row_chunk = c.row_chunk;
@@ -255,7 +260,6 @@ TEST_P(LinkEngineInvariantTest, FrozenRowsAreSymmetric) {
     SCOPED_TRACE(::testing::Message() << "theta = " << theta);
     const NeighborGraph g = RandomGraph(seed, theta);
     const LinkMatrix links = BuildLinks(GetParam(), g);
-    ASSERT_TRUE(links.frozen());
     for (size_t i = 0; i < links.size(); ++i) {
       const auto p = static_cast<PointIndex>(i);
       const LinkRowSpan row = links.FlatRow(p);
@@ -306,26 +310,21 @@ TEST_P(LinkEngineInvariantTest, TotalLinksEqualSumOfDegreeChoose2) {
   }
 }
 
-// Freeze() must be a no-op on an already-frozen matrix from either engine —
-// in particular on the packed engine's FromCsr-constructed output, which
-// never had hash rows to rebuild from.
+// Count and FlatRow on either engine's output match the brute-force
+// reference: the same rows, entry for entry, and the same count for every
+// pair, stored or not.
 TEST_P(LinkEngineInvariantTest, FreezeIsIdempotentOnEngineOutput) {
   const uint64_t seed = 331;
   ROCK_TRACE_SEED(seed);
   const NeighborGraph g = RandomGraph(seed, 0.5);
-  LinkMatrix links = BuildLinks(GetParam(), g);
-  ASSERT_TRUE(links.frozen());
-  const LinkMatrix reference = BuildLinks(GetParam(), g);
-  links.Freeze();  // must not disturb the CSR arrays
-  ASSERT_TRUE(links.frozen());
-  for (size_t i = 0; i < links.size(); ++i) {
-    const auto p = static_cast<PointIndex>(i);
-    const LinkRowSpan got = links.FlatRow(p);
-    const LinkRowSpan want = reference.FlatRow(p);
-    ASSERT_EQ(got.size, want.size) << "row " << i;
-    for (size_t e = 0; e < got.size; ++e) {
-      ASSERT_EQ(got.partners[e], want.partners[e]) << "row " << i;
-      ASSERT_EQ(got.counts[e], want.counts[e]) << "row " << i;
+  const LinkMatrix links = BuildLinks(GetParam(), g);
+  const LinkMatrix reference = ComputeLinksBruteForce(g);
+  ExpectSameMatrix(reference, links);
+  const auto n = static_cast<PointIndex>(g.size());
+  for (PointIndex p = 0; p < n; ++p) {
+    for (PointIndex q = 0; q < n; ++q) {
+      ASSERT_EQ(links.Count(p, q), reference.Count(p, q))
+          << "(" << p << ", " << q << ")";
     }
   }
 }
@@ -341,7 +340,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------------------------------------- fuzz --
 
-// Random Add/Count sequences against a std::map model. Checks per-query
+// Random builder Add / Count sequences against a std::map model: each
+// query reads a fresh Build() of the adds so far. Checks per-query
 // agreement, symmetry, and the TotalLinks / NumNonZeroPairs aggregates.
 TEST(LinkMatrixFuzzTest, RandomAddCountSequencesMatchModel) {
   const uint64_t base_seed = 4242;
@@ -349,7 +349,7 @@ TEST(LinkMatrixFuzzTest, RandomAddCountSequencesMatchModel) {
     const uint64_t seed = base_seed + round;
     ROCK_SEEDED_RNG(rng, seed);
     const size_t n = 3 + static_cast<size_t>(rng.UniformInt(0, 29));
-    LinkMatrix links(n);
+    LinkMatrixBuilder builder(n);
     std::map<std::pair<PointIndex, PointIndex>, uint64_t> model;
 
     for (int op = 0; op < 600; ++op) {
@@ -361,17 +361,19 @@ TEST(LinkMatrixFuzzTest, RandomAddCountSequencesMatchModel) {
       if (rng.UniformInt(0, 2) != 0) {  // Add with probability 2/3
         const auto delta =
             static_cast<LinkCount>(rng.UniformInt(1, 5));
-        links.Add(i, j, delta);
+        builder.Add(i, j, delta);
         model[{std::min(i, j), std::max(i, j)}] += delta;
       } else {  // Count query, both orientations
         const auto it = model.find({std::min(i, j), std::max(i, j)});
         const uint64_t want = it == model.end() ? 0 : it->second;
+        const LinkMatrix links = builder.Build();
         ASSERT_EQ(links.Count(i, j), want) << "(" << i << ", " << j << ")";
         ASSERT_EQ(links.Count(j, i), want) << "(" << j << ", " << i << ")";
       }
     }
 
     // Aggregate agreement with the model.
+    const LinkMatrix links = builder.Build();
     uint64_t want_total = 0;
     size_t want_pairs = 0;
     for (const auto& [pair, count] : model) {

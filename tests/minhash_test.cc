@@ -1,12 +1,14 @@
 // Tests for similarity/minhash.h — MinHash estimation quality, LSH
-// banding math, and the exact-precision / high-recall contract of
-// ComputeNeighborsLsh against the brute-force neighbor graph.
+// banding math, and the exact-precision / high-recall contract of the
+// banding pass (ComputeNeighborsPacked with PackedStrategy::kLsh) against
+// the brute-force neighbor graph.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/random.h"
+#include "graph/neighbor_engine.h"
 #include "similarity/jaccard.h"
 #include "similarity/minhash.h"
 #include "synth/basket_generator.h"
@@ -14,6 +16,17 @@
 
 namespace rock {
 namespace {
+
+/// The θ-neighbor graph of `dataset` through the LSH banding pass.
+Result<NeighborGraph> LshNeighbors(const TransactionDataset& dataset,
+                                   double theta,
+                                   const LshOptions& lsh = {}) {
+  const TransactionJaccard sim(dataset);
+  PackedNeighborOptions opt;
+  opt.strategy = PackedStrategy::kLsh;
+  opt.lsh = lsh;
+  return ComputeNeighborsPacked(sim, theta, opt);
+}
 
 TEST(MinHashTest, IdenticalSetsHaveIdenticalSignatures) {
   MinHasher hasher(64, 1);
@@ -91,8 +104,8 @@ TEST(LshTest, ValidatesOptions) {
   ds.AddTransaction({"a"});
   LshOptions opt;
   opt.num_bands = 0;
-  EXPECT_TRUE(ComputeNeighborsLsh(ds, 0.5, opt).status().IsInvalidArgument());
-  EXPECT_TRUE(ComputeNeighborsLsh(ds, 1.5).status().IsInvalidArgument());
+  EXPECT_TRUE(LshNeighbors(ds, 0.5, opt).status().IsInvalidArgument());
+  EXPECT_TRUE(LshNeighbors(ds, 1.5).status().IsInvalidArgument());
 }
 
 TEST(LshTest, ExactPrecisionHighRecallOnBaskets) {
@@ -107,7 +120,7 @@ TEST(LshTest, ExactPrecisionHighRecallOnBaskets) {
   TransactionJaccard sim(*ds);
   auto exact = ComputeNeighbors(sim, 0.5);
   ASSERT_TRUE(exact.ok());
-  auto lsh = ComputeNeighborsLsh(*ds, 0.5);
+  auto lsh = LshNeighbors(*ds, 0.5);
   ASSERT_TRUE(lsh.ok());
 
   // Precision: every LSH edge is a true edge.
@@ -147,7 +160,7 @@ TEST(LshTest, RecallDegradesGracefullyWithFewBands) {
   LshOptions weak;
   weak.num_bands = 2;
   weak.rows_per_band = 8;
-  auto lsh = ComputeNeighborsLsh(*ds, 0.5, weak);
+  auto lsh = LshNeighbors(*ds, 0.5, weak);
   ASSERT_TRUE(lsh.ok());
   // Still a subgraph (precision 1), just sparser.
   size_t true_edges = 0, lsh_edges = 0;
@@ -196,7 +209,7 @@ TEST(LshTest, EmptyTransactionsAreSkippedAtBandingTime) {
   ds.AddTransaction(Transaction{7, 8, 9, 10});
   ds.AddTransaction(Transaction{7, 8, 9, 11});
 
-  const auto lsh = ComputeNeighborsLsh(ds, 0.5);
+  const auto lsh = LshNeighbors(ds, 0.5);
   ASSERT_TRUE(lsh.ok());
   for (size_t r = 0; r < 50; ++r) {
     EXPECT_TRUE(lsh->nbrlist[r].empty()) << "empty row " << r;
@@ -218,8 +231,8 @@ TEST(LshTest, Deterministic) {
   gen.num_outliers = 10;
   auto ds = GenerateBasketData(gen);
   ASSERT_TRUE(ds.ok());
-  auto a = ComputeNeighborsLsh(*ds, 0.5);
-  auto b = ComputeNeighborsLsh(*ds, 0.5);
+  auto a = LshNeighbors(*ds, 0.5);
+  auto b = LshNeighbors(*ds, 0.5);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   for (size_t i = 0; i < a->size(); ++i) {

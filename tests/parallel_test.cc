@@ -1,5 +1,6 @@
 // Tests for util/thread_pool.h and graph/parallel.h — the parallel
-// neighbor/link computations must be bit-identical to the serial paths.
+// neighbor computation, and the packed link engine at any thread count,
+// must be bit-identical to the serial paths.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +8,7 @@
 #include <numeric>
 
 #include "common/random.h"
+#include "graph/link_engine.h"
 #include "graph/parallel.h"
 #include "similarity/similarity_table.h"
 #include "util/thread_pool.h"
@@ -98,10 +100,10 @@ TEST_P(ParallelGraphTest, LinksMatchSerial) {
   SimilarityTable t = RandomTable(150, density, 77 + threads);
   auto graph = ComputeNeighbors(t, 0.5);
   ASSERT_TRUE(graph.ok());
-  LinkMatrix serial = ComputeLinks(*graph);
-  ParallelOptions opt;
+  const LinkMatrix serial = ComputeLinks(*graph);
+  PackedLinkOptions opt;
   opt.num_threads = threads;
-  LinkMatrix parallel = ComputeLinksParallel(*graph, opt);
+  const LinkMatrix parallel = ComputeLinksPacked(*graph, opt);
   const auto n = static_cast<PointIndex>(graph->size());
   for (PointIndex i = 0; i < n; ++i) {
     for (PointIndex j = static_cast<PointIndex>(i + 1); j < n; ++j) {
@@ -124,21 +126,25 @@ TEST(ParallelGraphTest, InvalidThetaRejected) {
 }
 
 TEST(ParallelGraphTest, EmptyAndSingletonGraphs) {
-  NeighborGraph empty;
-  EXPECT_EQ(ComputeLinksParallel(empty).size(), 0u);
-  NeighborGraph one;
-  one.nbrlist.resize(1);
-  EXPECT_EQ(ComputeLinksParallel(one).size(), 1u);
+  for (size_t threads : {1u, 4u, 8u}) {
+    PackedLinkOptions opt;
+    opt.num_threads = threads;
+    NeighborGraph empty;
+    EXPECT_EQ(ComputeLinksPacked(empty, opt).size(), 0u);
+    NeighborGraph one;
+    one.nbrlist.resize(1);
+    EXPECT_EQ(ComputeLinksPacked(one, opt).size(), 1u);
+  }
 }
 
 TEST(ParallelGraphTest, MoreThreadsThanRows) {
   SimilarityTable t = RandomTable(5, 0.8, 3);
   auto graph = ComputeNeighbors(t, 0.5);
   ASSERT_TRUE(graph.ok());
-  ParallelOptions opt;
+  PackedLinkOptions opt;
   opt.num_threads = 32;
-  LinkMatrix parallel = ComputeLinksParallel(*graph, opt);
-  LinkMatrix serial = ComputeLinks(*graph);
+  const LinkMatrix parallel = ComputeLinksPacked(*graph, opt);
+  const LinkMatrix serial = ComputeLinks(*graph);
   for (PointIndex i = 0; i < 5; ++i) {
     for (PointIndex j = static_cast<PointIndex>(i + 1); j < 5; ++j) {
       EXPECT_EQ(parallel.Count(i, j), serial.Count(i, j));

@@ -16,6 +16,7 @@
 #include "core/outliers.h"
 #include "core/rock.h"
 #include "data/dataset.h"
+#include "graph/link_engine.h"
 #include "similarity/jaccard.h"
 #include "similarity/similarity_table.h"
 #include "test_support.h"
@@ -158,10 +159,11 @@ TEST(GoodnessTest, MemoTableIsBitIdenticalToDirectPow) {
 // -------------------------------------------------------------- Criterion --
 
 TEST(CriterionTest, IntraClusterLinkSum) {
-  LinkMatrix links(4);
-  links.Add(0, 1, 5);
-  links.Add(2, 3, 7);
-  links.Add(0, 2, 100);  // crosses the cluster boundary below
+  LinkMatrixBuilder builder(4);
+  builder.Add(0, 1, 5);
+  builder.Add(2, 3, 7);
+  builder.Add(0, 2, 100);  // crosses the cluster boundary below
+  const LinkMatrix links = builder.Build();
   EXPECT_EQ(IntraClusterLinks(links, {0, 1}), 5u);
   EXPECT_EQ(IntraClusterLinks(links, {2, 3}), 7u);
   EXPECT_EQ(IntraClusterLinks(links, {0, 1, 2, 3}), 112u);
@@ -170,9 +172,10 @@ TEST(CriterionTest, IntraClusterLinkSum) {
 TEST(CriterionTest, SplittingLinkFreePointsScoresHigher) {
   // Two pairs with internal links and no cross links: the 2-cluster split
   // must beat the single merged cluster under E_l.
-  LinkMatrix links(4);
-  links.Add(0, 1, 4);
-  links.Add(2, 3, 4);
+  LinkMatrixBuilder builder(4);
+  builder.Add(0, 1, 4);
+  builder.Add(2, 3, 4);
+  const LinkMatrix links = builder.Build();
   GoodnessMeasure g(RockOptions{});
 
   Clustering split = Clustering::FromAssignment({0, 0, 1, 1});
@@ -184,12 +187,13 @@ TEST(CriterionTest, SplittingLinkFreePointsScoresHigher) {
 TEST(CriterionTest, WellLinkedClusterBeatsItsSplit) {
   // A clique-ish 4-point cluster where every pair has links: keeping it
   // together beats splitting it.
-  LinkMatrix links(4);
+  LinkMatrixBuilder builder(4);
   for (PointIndex i = 0; i < 4; ++i) {
     for (PointIndex j = static_cast<PointIndex>(i + 1); j < 4; ++j) {
-      links.Add(i, j, 3);
+      builder.Add(i, j, 3);
     }
   }
+  const LinkMatrix links = builder.Build();
   GoodnessMeasure g(RockOptions{});
   Clustering together = Clustering::FromAssignment({0, 0, 0, 0});
   Clustering split = Clustering::FromAssignment({0, 0, 1, 1});
@@ -198,8 +202,9 @@ TEST(CriterionTest, WellLinkedClusterBeatsItsSplit) {
 }
 
 TEST(CriterionTest, OutliersContributeNothing) {
-  LinkMatrix links(3);
-  links.Add(0, 1, 2);
+  LinkMatrixBuilder builder(3);
+  builder.Add(0, 1, 2);
+  const LinkMatrix links = builder.Build();
   GoodnessMeasure g(RockOptions{});
   Clustering with_outlier = Clustering::FromAssignment({0, 0, kUnassigned});
   Clustering without = Clustering::FromAssignment({0, 0});
@@ -208,10 +213,11 @@ TEST(CriterionTest, OutliersContributeNothing) {
                    CriterionFunction(without, links, g));
 }
 
-// The one-pass frozen-CSR criterion must equal, to the last bit, the
-// per-cluster IntraClusterLinks sum combined in cluster order — on frozen
-// and hash-row matrices alike, with outliers, singletons and an empty
-// cluster in the clustering.
+// The one-pass CSR criterion must equal, to the last bit, the per-cluster
+// IntraClusterLinks sum combined in cluster order — on the reference and
+// the packed matrix alike, and on the per-cluster path taken without an
+// assignment — with outliers, singletons and an empty cluster in the
+// clustering.
 TEST(CriterionTest, OnePassMatchesPerClusterIntraLinkSum) {
   const uint64_t seed = 20261017;
   ROCK_SEEDED_RNG(rng, seed);
@@ -228,10 +234,8 @@ TEST(CriterionTest, OnePassMatchesPerClusterIntraLinkSum) {
     }
   }
   const LinkMatrix hashed = ComputeLinks(graph);
-  LinkMatrix frozen = ComputeLinks(graph);
-  frozen.Freeze();
-  ASSERT_FALSE(hashed.frozen());
-  ASSERT_GT(frozen.TotalLinks(), 0u);
+  const LinkMatrix packed = ComputeLinksPacked(graph);
+  ASSERT_GT(hashed.TotalLinks(), 0u);
 
   std::vector<ClusterIndex> assignment(n);
   for (size_t p = 0; p < n; ++p) {
@@ -242,6 +246,8 @@ TEST(CriterionTest, OnePassMatchesPerClusterIntraLinkSum) {
   Clustering clustering = Clustering::FromAssignment(std::move(assignment));
   clustering.clusters.emplace_back();  // an empty cluster
   ASSERT_EQ(clustering.clusters[5].size(), 1u);
+  Clustering per_cluster = clustering;
+  per_cluster.assignment.clear();  // rules the one-pass sum out
 
   for (const double theta : {0.3, 0.7}) {
     SCOPED_TRACE(::testing::Message() << "theta = " << theta);
@@ -255,8 +261,9 @@ TEST(CriterionTest, OnePassMatchesPerClusterIntraLinkSum) {
               static_cast<double>(IntraClusterLinks(hashed, members)) /
               g.ExpectedIntraLinks(members.size());
     }
-    EXPECT_EQ(CriterionFunction(clustering, frozen, g), want);
     EXPECT_EQ(CriterionFunction(clustering, hashed, g), want);
+    EXPECT_EQ(CriterionFunction(clustering, packed, g), want);
+    EXPECT_EQ(CriterionFunction(per_cluster, hashed, g), want);
   }
 }
 
@@ -314,14 +321,16 @@ TEST(RockClustererTest, Figure1MaxLinkPartnerIsInOwnCluster) {
   TransactionJaccard sim(ds);
   auto graph = ComputeNeighbors(sim, 0.5);
   ASSERT_TRUE(graph.ok());
-  LinkMatrix links = ComputeLinks(*graph);
+  const LinkMatrix links = ComputeLinks(*graph);
   for (PointIndex p = 0; p < ds.size(); ++p) {
-    LinkCount best = 0;
-    for (const auto& [q, count] : links.Row(p)) best = std::max(best, count);
-    ASSERT_GT(best, 0u);
+    const LinkRowSpan row = links.FlatRow(p);
+    ASSERT_GT(row.size, 0u);
+    const LinkCount best = *std::max_element(row.counts, row.counts + row.size);
     bool own_cluster_achieves_max = false;
-    for (const auto& [q, count] : links.Row(p)) {
-      if (count == best && ds.labels().label(q) == ds.labels().label(p)) {
+    for (size_t e = 0; e < row.size; ++e) {
+      const PointIndex q = row.partners[e];
+      if (row.counts[e] == best &&
+          ds.labels().label(q) == ds.labels().label(p)) {
         own_cluster_achieves_max = true;
       }
     }

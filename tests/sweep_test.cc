@@ -132,20 +132,19 @@ TEST_F(SweepCliTest, LshAndThreadsFlagsWork) {
   out.clear();
   const int code =
       RunCli({"cluster", "--input=" + Path("b.store"), "--format=store",
-              "--theta=0.5", "--k=10", "--neighbors=lsh", "--threads=2"},
+              "--theta=0.5", "--k=10", "--neighbor-engine=lsh",
+              "--threads=2"},
              &out);
   ASSERT_EQ(code, 0) << out;
   EXPECT_NE(out.find("clusters:"), std::string::npos);
-  // LSH on categorical input is rejected.
-  ASSERT_EQ(RunCli({"gen", "--dataset=votes", "--out=" + Path("v.csv")},
-                   &out),
-            0);
+  // `rock cluster` has no --neighbors flag; --neighbor-engine=lsh is the
+  // one LSH path.
   out.clear();
-  EXPECT_EQ(RunCli({"cluster", "--input=" + Path("v.csv"),
-                    "--neighbors=lsh"},
+  EXPECT_EQ(RunCli({"cluster", "--input=" + Path("b.store"),
+                    "--format=store", "--neighbors=lsh"},
                    &out),
-            1);
-  EXPECT_NE(out.find("basket/store"), std::string::npos);
+            2);
+  EXPECT_NE(out.find("unknown flag --neighbors"), std::string::npos);
 }
 
 }  // namespace
