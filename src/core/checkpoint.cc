@@ -1,55 +1,19 @@
 #include "core/checkpoint.h"
 
-#include <cstdio>
-
-#include "util/bytes.h"
-#include "util/checksum.h"
-#include "util/failpoint.h"
-
 namespace rock {
 
 namespace {
 
-constexpr uint64_t kCheckpointMagic = 0x524f434b434b5054ULL;  // "ROCKCKPT"
-constexpr uint32_t kCheckpointVersion = 1;
-constexpr size_t kHeaderSize =
-    sizeof(kCheckpointMagic) + sizeof(kCheckpointVersion) +
-    sizeof(uint64_t) + sizeof(uint32_t);
-
-// Caps on serialized counts, mirroring the stores: anything beyond these is
-// a corrupt length field, not data, and must not turn into an allocation.
-constexpr uint64_t kMaxCheckpointRows = 1ull << 40;
-constexpr uint64_t kMaxCheckpointItems = 1u << 24;
+constexpr FrameFormat kCheckpointFormat{
+    .magic = 0x524f434b434b5054ULL,  // "ROCKCKPT"
+    .min_version = 1,
+    .version = 1,
+    .save_site = "pipeline.checkpoint",
+    .load_site = "checkpoint.load",
+    .noun = "checkpoint",
+};
 
 constexpr char kReaderContext[] = "checkpoint payload";
-
-void WriteFingerprint(ByteWriter& w, const CheckpointFingerprint& fp) {
-  w.Pod(fp.store_count);
-  w.Pod(fp.theta);
-  w.Pod(fp.num_clusters);
-  w.Pod(fp.min_neighbors);
-  w.Pod(fp.outlier_stop_multiple);
-  w.Pod(fp.min_cluster_support);
-  w.Pod(fp.sample_size);
-  w.Pod(fp.sample_seed);
-  w.Pod(fp.labeling_fraction);
-  w.Pod(fp.min_labeling_points);
-  w.Pod(fp.labeling_seed);
-}
-
-Status ReadFingerprint(ByteReader& r, CheckpointFingerprint* fp) {
-  ROCK_RETURN_IF_ERROR(r.Pod(&fp->store_count));
-  ROCK_RETURN_IF_ERROR(r.Pod(&fp->theta));
-  ROCK_RETURN_IF_ERROR(r.Pod(&fp->num_clusters));
-  ROCK_RETURN_IF_ERROR(r.Pod(&fp->min_neighbors));
-  ROCK_RETURN_IF_ERROR(r.Pod(&fp->outlier_stop_multiple));
-  ROCK_RETURN_IF_ERROR(r.Pod(&fp->min_cluster_support));
-  ROCK_RETURN_IF_ERROR(r.Pod(&fp->sample_size));
-  ROCK_RETURN_IF_ERROR(r.Pod(&fp->sample_seed));
-  ROCK_RETURN_IF_ERROR(r.Pod(&fp->labeling_fraction));
-  ROCK_RETURN_IF_ERROR(r.Pod(&fp->min_labeling_points));
-  return r.Pod(&fp->labeling_seed);
-}
 
 void WriteStats(ByteWriter& w, const RockStats& s) {
   w.Pod(static_cast<uint64_t>(s.num_points));
@@ -88,33 +52,17 @@ Status ReadStats(ByteReader& r, RockStats* s) {
   return r.Pod(&s->criterion_value);
 }
 
-std::vector<uint8_t> SerializePayload(const PipelineCheckpoint& cp) {
-  ByteWriter w;
+Status SerializePayload(const PipelineCheckpoint& cp, ByteWriter& w) {
+  ROCK_RETURN_IF_ERROR(CheckPersistCap(cp.assignments.size(),
+                                       PersistCaps::kRows,
+                                       "checkpoint row count"));
   WriteFingerprint(w, cp.fingerprint);
 
-  w.Pod(static_cast<uint64_t>(cp.sample_rows.size()));
-  for (uint64_t row : cp.sample_rows) w.Pod(row);
-
-  w.Pod(static_cast<uint64_t>(cp.sample.size()));
-  for (const Transaction& tx : cp.sample) {
-    w.Pod(static_cast<uint32_t>(tx.size()));
-    if (!tx.empty()) {
-      w.Write(tx.items().data(), tx.size() * sizeof(ItemId));
-    }
-  }
-
-  w.Pod(static_cast<uint64_t>(cp.clustering.assignment.size()));
-  if (!cp.clustering.assignment.empty()) {
-    w.Write(cp.clustering.assignment.data(),
-            cp.clustering.assignment.size() * sizeof(ClusterIndex));
-  }
+  w.PodVector(cp.sample_rows);
+  ROCK_RETURN_IF_ERROR(WriteTransactionList(w, cp.sample));
+  w.PodVector(cp.clustering.assignment);
   w.Pod(static_cast<uint64_t>(cp.clustering.clusters.size()));
-  for (const auto& members : cp.clustering.clusters) {
-    w.Pod(static_cast<uint64_t>(members.size()));
-    if (!members.empty()) {
-      w.Write(members.data(), members.size() * sizeof(PointIndex));
-    }
-  }
+  for (const auto& members : cp.clustering.clusters) w.PodVector(members);
 
   w.Pod(static_cast<uint64_t>(cp.merges.size()));
   for (const MergeRecord& m : cp.merges) {
@@ -138,64 +86,20 @@ std::vector<uint8_t> SerializePayload(const PipelineCheckpoint& cp) {
   }
   for (uint64_t o : cp.shard_outliers) w.Pod(o);
 
-  w.Pod(static_cast<uint64_t>(cp.assignments.size()));
-  if (!cp.assignments.empty()) {
-    w.Write(cp.assignments.data(),
-            cp.assignments.size() * sizeof(ClusterIndex));
-  }
-  w.Pod(static_cast<uint64_t>(cp.ground_truth.size()));
-  if (!cp.ground_truth.empty()) {
-    w.Write(cp.ground_truth.data(), cp.ground_truth.size() * sizeof(LabelId));
-  }
-  return std::move(w.buf);
+  w.PodVector(cp.assignments);
+  w.PodVector(cp.ground_truth);
+  return Status::OK();
 }
 
-Status ParsePayload(const uint8_t* data, size_t size, PipelineCheckpoint* cp) {
-  ByteReader r{data, size, 0, kReaderContext};
+Status ParsePayload(ByteReader& r, PipelineCheckpoint* cp) {
   ROCK_RETURN_IF_ERROR(ReadFingerprint(r, &cp->fingerprint));
 
+  ROCK_RETURN_IF_ERROR(
+      r.PodVector(&cp->sample_rows, "checkpoint sample-row count"));
+  ROCK_RETURN_IF_ERROR(ReadTransactionList(r, "checkpoint", &cp->sample));
+  ROCK_RETURN_IF_ERROR(r.PodVector(&cp->clustering.assignment,
+                                   "checkpoint assignment size"));
   uint64_t count = 0;
-  ROCK_RETURN_IF_ERROR(r.Pod(&count));
-  if (count > r.Remaining() / sizeof(uint64_t)) {
-    return Status::Corruption("implausible checkpoint sample-row count");
-  }
-  cp->sample_rows.resize(static_cast<size_t>(count));
-  if (count > 0) {
-    ROCK_RETURN_IF_ERROR(r.Read(cp->sample_rows.data(),
-                                static_cast<size_t>(count) * sizeof(uint64_t)));
-  }
-
-  ROCK_RETURN_IF_ERROR(r.Pod(&count));
-  if (count > r.Remaining()) {  // every transaction takes ≥ 4 bytes
-    return Status::Corruption("implausible checkpoint sample count");
-  }
-  cp->sample.clear();
-  cp->sample.reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    uint32_t n = 0;
-    ROCK_RETURN_IF_ERROR(r.Pod(&n));
-    if (n > kMaxCheckpointItems ||
-        static_cast<size_t>(n) * sizeof(ItemId) > r.Remaining()) {
-      return Status::Corruption("implausible checkpoint transaction length");
-    }
-    std::vector<ItemId> items(n);
-    if (n > 0) {
-      ROCK_RETURN_IF_ERROR(
-          r.Read(items.data(), static_cast<size_t>(n) * sizeof(ItemId)));
-    }
-    cp->sample.emplace_back(std::move(items));
-  }
-
-  ROCK_RETURN_IF_ERROR(r.Pod(&count));
-  if (count > r.Remaining() / sizeof(ClusterIndex)) {
-    return Status::Corruption("implausible checkpoint assignment size");
-  }
-  cp->clustering.assignment.resize(static_cast<size_t>(count));
-  if (count > 0) {
-    ROCK_RETURN_IF_ERROR(
-        r.Read(cp->clustering.assignment.data(),
-               static_cast<size_t>(count) * sizeof(ClusterIndex)));
-  }
   ROCK_RETURN_IF_ERROR(r.Pod(&count));
   if (count > r.Remaining()) {  // every cluster takes ≥ 8 bytes
     return Status::Corruption("implausible checkpoint cluster count");
@@ -203,16 +107,8 @@ Status ParsePayload(const uint8_t* data, size_t size, PipelineCheckpoint* cp) {
   cp->clustering.clusters.clear();
   cp->clustering.clusters.resize(static_cast<size_t>(count));
   for (auto& members : cp->clustering.clusters) {
-    uint64_t n = 0;
-    ROCK_RETURN_IF_ERROR(r.Pod(&n));
-    if (n > r.Remaining() / sizeof(PointIndex)) {
-      return Status::Corruption("implausible checkpoint cluster size");
-    }
-    members.resize(static_cast<size_t>(n));
-    if (n > 0) {
-      ROCK_RETURN_IF_ERROR(r.Read(
-          members.data(), static_cast<size_t>(n) * sizeof(PointIndex)));
-    }
+    ROCK_RETURN_IF_ERROR(
+        r.PodVector(&members, "checkpoint cluster size"));
   }
 
   ROCK_RETURN_IF_ERROR(r.Pod(&count));
@@ -254,26 +150,10 @@ Status ParsePayload(const uint8_t* data, size_t size, PipelineCheckpoint* cp) {
     ROCK_RETURN_IF_ERROR(r.Pod(&o));
   }
 
-  ROCK_RETURN_IF_ERROR(r.Pod(&count));
-  if (count > kMaxCheckpointRows ||
-      count > r.Remaining() / sizeof(ClusterIndex)) {
-    return Status::Corruption("implausible checkpoint assignments size");
-  }
-  cp->assignments.resize(static_cast<size_t>(count));
-  if (count > 0) {
-    ROCK_RETURN_IF_ERROR(
-        r.Read(cp->assignments.data(),
-               static_cast<size_t>(count) * sizeof(ClusterIndex)));
-  }
-  ROCK_RETURN_IF_ERROR(r.Pod(&count));
-  if (count > r.Remaining() / sizeof(LabelId)) {
-    return Status::Corruption("implausible checkpoint ground-truth size");
-  }
-  cp->ground_truth.resize(static_cast<size_t>(count));
-  if (count > 0) {
-    ROCK_RETURN_IF_ERROR(r.Read(cp->ground_truth.data(),
-                                static_cast<size_t>(count) * sizeof(LabelId)));
-  }
+  ROCK_RETURN_IF_ERROR(r.PodVector(
+      &cp->assignments, "checkpoint assignments size", PersistCaps::kRows));
+  ROCK_RETURN_IF_ERROR(
+      r.PodVector(&cp->ground_truth, "checkpoint ground-truth size"));
 
   if (r.Remaining() != 0) {
     return Status::Corruption("trailing bytes after checkpoint payload");
@@ -296,84 +176,102 @@ Status ParsePayload(const uint8_t* data, size_t size, PipelineCheckpoint* cp) {
 
 }  // namespace
 
-Status SaveCheckpoint(const PipelineCheckpoint& checkpoint,
-                      const std::string& path) {
-  const std::vector<uint8_t> payload = SerializePayload(checkpoint);
-
-  ByteWriter file;
-  file.buf.reserve(kHeaderSize + payload.size());
-  file.Pod(kCheckpointMagic);
-  file.Pod(kCheckpointVersion);
-  file.Pod(static_cast<uint64_t>(payload.size()));
-  file.Pod(Crc32(payload.data(), payload.size()));
-  file.Write(payload.data(), payload.size());
-
-  const std::string tmp = path + ".tmp";
-  switch (fail::Consult("pipeline.checkpoint")) {
-    case fail::Action::kNone:
-      break;
-    case fail::Action::kTornWrite:
-      // A filesystem without atomic rename tearing the checkpoint: half
-      // the bytes land at the *final* path.
-      ROCK_RETURN_IF_ERROR(
-          WriteFileBytes(path, file.buf.data(), file.buf.size() / 2));
-      return fail::InjectedError("pipeline.checkpoint");
-    case fail::Action::kCrash:
-      // Death between writing the tmp file and renaming it: the tmp file
-      // is complete but the final path never updates.
-      ROCK_RETURN_IF_ERROR(
-          WriteFileBytes(tmp, file.buf.data(), file.buf.size()));
-      return fail::InjectedCrash("pipeline.checkpoint");
-    case fail::Action::kError:
-    case fail::Action::kShortRead:
-      return fail::InjectedError("pipeline.checkpoint");
-  }
-
-  ROCK_RETURN_IF_ERROR(WriteFileBytes(tmp, file.buf.data(), file.buf.size()));
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IOError("cannot rename '" + tmp + "' over '" + path + "'");
+Status CheckPersistCap(uint64_t n, uint64_t cap, const char* what) {
+  if (n > cap) {
+    return Status::InvalidArgument(std::string(what) + " " +
+                                   std::to_string(n) +
+                                   " exceeds the format's cap of " +
+                                   std::to_string(cap));
   }
   return Status::OK();
 }
 
+void WriteFingerprint(ByteWriter& w, const CheckpointFingerprint& fp) {
+  w.Pod(fp.store_count);
+  w.Pod(fp.theta);
+  w.Pod(fp.num_clusters);
+  w.Pod(fp.min_neighbors);
+  w.Pod(fp.outlier_stop_multiple);
+  w.Pod(fp.min_cluster_support);
+  w.Pod(fp.sample_size);
+  w.Pod(fp.sample_seed);
+  w.Pod(fp.labeling_fraction);
+  w.Pod(fp.min_labeling_points);
+  w.Pod(fp.labeling_seed);
+}
+
+Status ReadFingerprint(ByteReader& r, CheckpointFingerprint* fp) {
+  ROCK_RETURN_IF_ERROR(r.Pod(&fp->store_count));
+  ROCK_RETURN_IF_ERROR(r.Pod(&fp->theta));
+  ROCK_RETURN_IF_ERROR(r.Pod(&fp->num_clusters));
+  ROCK_RETURN_IF_ERROR(r.Pod(&fp->min_neighbors));
+  ROCK_RETURN_IF_ERROR(r.Pod(&fp->outlier_stop_multiple));
+  ROCK_RETURN_IF_ERROR(r.Pod(&fp->min_cluster_support));
+  ROCK_RETURN_IF_ERROR(r.Pod(&fp->sample_size));
+  ROCK_RETURN_IF_ERROR(r.Pod(&fp->sample_seed));
+  ROCK_RETURN_IF_ERROR(r.Pod(&fp->labeling_fraction));
+  ROCK_RETURN_IF_ERROR(r.Pod(&fp->min_labeling_points));
+  return r.Pod(&fp->labeling_seed);
+}
+
+Status WriteTransactionList(ByteWriter& w,
+                            const std::vector<Transaction>& txs) {
+  ROCK_RETURN_IF_ERROR(CheckPersistCap(
+      txs.size(), PersistCaps::kTransactions, "transaction count"));
+  w.Pod(static_cast<uint64_t>(txs.size()));
+  for (const Transaction& tx : txs) {
+    ROCK_RETURN_IF_ERROR(
+        CheckPersistCap(tx.size(), PersistCaps::kItems, "transaction length"));
+    w.Pod(static_cast<uint32_t>(tx.size()));
+    if (!tx.empty()) {
+      w.Write(tx.items().data(), tx.size() * sizeof(ItemId));
+    }
+  }
+  return Status::OK();
+}
+
+Status ReadTransactionList(ByteReader& r, const char* noun,
+                           std::vector<Transaction>* txs) {
+  uint64_t count = 0;
+  ROCK_RETURN_IF_ERROR(r.Pod(&count));
+  if (count > PersistCaps::kTransactions ||
+      count > r.Remaining() / sizeof(uint32_t)) {  // ≥ 4 bytes each
+    return Status::Corruption(std::string("implausible ") + noun +
+                              " transaction count");
+  }
+  txs->clear();
+  txs->reserve(static_cast<size_t>(count));
+  for (uint64_t i = 0; i < count; ++i) {
+    uint32_t n = 0;
+    ROCK_RETURN_IF_ERROR(r.Pod(&n));
+    if (n > PersistCaps::kItems ||
+        static_cast<size_t>(n) * sizeof(ItemId) > r.Remaining()) {
+      return Status::Corruption(std::string("implausible ") + noun +
+                                " transaction length");
+    }
+    std::vector<ItemId> items(n);
+    if (n > 0) {
+      ROCK_RETURN_IF_ERROR(
+          r.Read(items.data(), static_cast<size_t>(n) * sizeof(ItemId)));
+    }
+    txs->emplace_back(std::move(items));
+  }
+  return Status::OK();
+}
+
+Status SaveCheckpoint(const PipelineCheckpoint& checkpoint,
+                      const std::string& path) {
+  ByteWriter payload;
+  ROCK_RETURN_IF_ERROR(SerializePayload(checkpoint, payload));
+  return WriteFramedFile(kCheckpointFormat, path, payload.buf);
+}
+
 Result<PipelineCheckpoint> LoadCheckpoint(const std::string& path) {
-  ROCK_RETURN_IF_ERROR(fail::ConsultRead("checkpoint.load"));
-  Result<std::vector<uint8_t>> bytes_or = ReadFileBytes(path);
-  if (!bytes_or.ok()) return bytes_or.status();
-  const std::vector<uint8_t> bytes = std::move(bytes_or).value();
-
-  if (bytes.size() < kHeaderSize) {
-    return Status::Corruption("checkpoint file '" + path + "' is truncated");
-  }
-  ByteReader header{bytes.data(), kHeaderSize, 0, kReaderContext};
-  uint64_t magic = 0;
-  uint32_t version = 0;
-  uint64_t payload_size = 0;
-  uint32_t expected_crc = 0;
-  ROCK_RETURN_IF_ERROR(header.Pod(&magic));
-  if (magic != kCheckpointMagic) {
-    return Status::Corruption("'" + path + "' is not a pipeline checkpoint");
-  }
-  ROCK_RETURN_IF_ERROR(header.Pod(&version));
-  if (version != kCheckpointVersion) {
-    return Status::Corruption("unsupported checkpoint version " +
-                              std::to_string(version));
-  }
-  ROCK_RETURN_IF_ERROR(header.Pod(&payload_size));
-  ROCK_RETURN_IF_ERROR(header.Pod(&expected_crc));
-  if (payload_size != bytes.size() - kHeaderSize) {
-    return Status::Corruption("checkpoint '" + path +
-                              "' payload size mismatch (torn write)");
-  }
-  const uint8_t* payload = bytes.data() + kHeaderSize;
-  if (Crc32(payload, static_cast<size_t>(payload_size)) != expected_crc) {
-    return Status::Corruption("checkpoint '" + path +
-                              "' checksum mismatch (bit rot or torn write)");
-  }
-
+  Result<FramedFile> file = ReadFramedFile(kCheckpointFormat, path);
+  if (!file.ok()) return file.status();
+  ByteReader r = file->Payload(kReaderContext);
   PipelineCheckpoint cp;
-  ROCK_RETURN_IF_ERROR(
-      ParsePayload(payload, static_cast<size_t>(payload_size), &cp));
+  ROCK_RETURN_IF_ERROR(ParsePayload(r, &cp));
   return cp;
 }
 

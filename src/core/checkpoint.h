@@ -7,19 +7,23 @@
 // per-shard labeling progress, letting `rock pipeline --resume` skip both
 // the re-clustering and every shard that already finished.
 //
-// File format (little-endian):
-//   [u64 magic "ROCKCKPT"][u32 version][u64 payload_size][u32 crc32]
-//   payload_size × u8 payload
-// `crc32` covers the payload bytes. Load() rejects wrong magic/version,
-// truncated or oversized files, and checksum mismatches as Corruption —
-// a torn or bit-rotted checkpoint is detected and discarded (the pipeline
-// then restarts cleanly), never resumed into wrong labels.
+// The file is one frame of the shared framing (util/bytes.h): magic
+// "ROCKCKPT", version 1, payload size and payload crc32. Load() rejects
+// wrong magic/version, truncated or oversized files, and checksum
+// mismatches as Corruption — a torn or bit-rotted checkpoint is detected
+// and discarded (the pipeline then restarts cleanly), never resumed into
+// wrong labels.
 //
-// Writes are atomic-by-rename: the bytes go to "<path>.tmp" and are
-// renamed over `path` only once complete. The "pipeline.checkpoint"
-// failpoint site models the two crash shapes tests need: `torn_write`
-// leaves a truncated file at the *final* path (a non-atomic filesystem),
-// `crash` leaves only the tmp file (death between write and rename).
+// Writes are atomic-by-rename through the same framing. The
+// "pipeline.checkpoint" failpoint site models the two crash shapes tests
+// need: `torn_write` leaves a truncated file at the *final* path (a
+// non-atomic filesystem), `crash` leaves only the tmp file (death between
+// write and rename).
+//
+// This header also holds the payload codecs the model bundle
+// (core/model_bundle.h) shares with the checkpoint: the fingerprint, the
+// length-prefixed transaction list, and the table of count caps that both
+// savers and loaders enforce.
 
 #ifndef ROCK_CORE_CHECKPOINT_H_
 #define ROCK_CORE_CHECKPOINT_H_
@@ -33,6 +37,7 @@
 #include "core/labeling.h"
 #include "core/rock.h"
 #include "data/transaction.h"
+#include "util/bytes.h"
 
 namespace rock {
 
@@ -86,9 +91,38 @@ struct PipelineCheckpoint {
   std::vector<LabelId> ground_truth;
 };
 
+/// Caps on the counts the checkpoint and model-bundle payloads serialize.
+/// A save over any cap is InvalidArgument and writes nothing; a load over
+/// one is Corruption, so a corrupt length field never turns into an
+/// allocation and a saver never writes a file its loader refuses.
+struct PersistCaps {
+  static constexpr uint64_t kRows = 1ull << 40;         ///< store rows
+  static constexpr uint64_t kItems = 1u << 24;          ///< per transaction
+  static constexpr uint64_t kTransactions = 1u << 28;   ///< per list
+  static constexpr uint64_t kClusters = 1u << 24;       ///< model clusters
+  static constexpr uint64_t kDictEntries = 1u << 24;    ///< dictionary size
+  static constexpr uint64_t kNameLength = 1u << 16;     ///< dictionary name
+};
+
+/// Save-side cap check: InvalidArgument naming `what` when `n > cap`.
+Status CheckPersistCap(uint64_t n, uint64_t cap, const char* what);
+
+/// The 11 fingerprint fields, in declaration order.
+void WriteFingerprint(ByteWriter& w, const CheckpointFingerprint& fp);
+Status ReadFingerprint(ByteReader& r, CheckpointFingerprint* fp);
+
+/// A length-prefixed transaction list: u64 count, then per transaction
+/// u32 n and n × u32 item ids. The writer enforces PersistCaps::kTransactions
+/// and kItems (InvalidArgument); the reader enforces the same caps and the
+/// remaining payload size (Corruption, its text prefixed by `noun`).
+Status WriteTransactionList(ByteWriter& w, const std::vector<Transaction>& txs);
+Status ReadTransactionList(ByteReader& r, const char* noun,
+                           std::vector<Transaction>* txs);
+
 /// Atomically writes `checkpoint` to `path` (tmp + rename). Consults the
 /// "pipeline.checkpoint" failpoint site; see the header comment for the
-/// torn_write / crash shapes it injects.
+/// torn_write / crash shapes it injects. A count over PersistCaps is
+/// InvalidArgument and writes nothing.
 Status SaveCheckpoint(const PipelineCheckpoint& checkpoint,
                       const std::string& path);
 

@@ -8,14 +8,12 @@
 // `rock query` load it once and answer queries via the §4.6 ScanCount
 // labeler.
 //
-// File format (little-endian), same header discipline as the pipeline
-// checkpoint and the stores:
-//   [u64 magic "ROCKMODL"][u32 version][u64 payload_size][u32 crc32]
-//   payload_size × u8 payload
-// `crc32` covers the payload. The payload is:
+// The file is one frame of the shared framing (util/bytes.h), the same as
+// the pipeline checkpoint: magic "ROCKMODL", version 2, payload size and
+// payload crc32. The payload is:
 //   fingerprint (the 11 CheckpointFingerprint fields, checkpoint order)
 //   f64 theta, f64 f_exponent
-//   u64 num_clusters; per cluster: u64 set_size;
+//   u64 num_clusters; per cluster a transaction list: u64 set_size;
 //       per transaction: u32 n, n × u32 item ids
 //   u64 dict_size; per entry: u32 len, len × u8 name bytes
 //   — version 2 appends the build-time profile (the drift baseline) —
@@ -31,7 +29,12 @@
 // "model.save" failpoint site with the same torn_write / crash shapes as
 // "pipeline.checkpoint"; loads consult "model.load". Wrong magic/version,
 // truncation, trailing bytes, checksum mismatches and implausible counts
-// are all Corruption — a damaged bundle is refused, never served.
+// are all Corruption — a damaged bundle is refused, never served. The
+// count caps (PersistCaps, core/checkpoint.h) bind the saver too: a bundle
+// over any cap is InvalidArgument and never reaches disk.
+//
+// The bundle is also the one persisted form of a §4.6 labeler: load it and
+// reassemble the labeler with TransactionLabeler::FromParts.
 
 #ifndef ROCK_CORE_MODEL_BUNDLE_H_
 #define ROCK_CORE_MODEL_BUNDLE_H_
@@ -96,7 +99,8 @@ struct ModelBundle {
 };
 
 /// Atomically writes `bundle` to `path` (tmp + rename). Consults the
-/// "model.save" failpoint site.
+/// "model.save" failpoint site. Implausible parameters or profile, or a
+/// count over PersistCaps, is InvalidArgument and writes nothing.
 Status SaveModelBundle(const ModelBundle& bundle, const std::string& path);
 
 /// Reads and validates a bundle. Missing file → IOError; wrong

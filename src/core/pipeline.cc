@@ -57,25 +57,30 @@ Result<uint64_t> CountStoreRows(const std::string& store_path,
   return store_count;
 }
 
-/// The sample phase shared by RunRockPipeline and BuildModel: one streaming
-/// reservoir pass followed by clustering the sample. Both halves must draw
-/// and cluster through this exact code path — a served model diverging by
-/// even one RNG call would break the serve ≡ pipeline bit-identity the
-/// differential tests enforce.
-struct SampledClustering {
-  TransactionDataset sample;          ///< picked transactions as a dataset
-  std::vector<Transaction> picked;    ///< the same transactions, store order
-  std::vector<uint64_t> rows;         ///< store row of each picked tx
-  RockResult rock;                    ///< clustering of the sample
+/// The sample phase RunRockPipeline and BuildModel start from, restored
+/// from a checkpoint or computed fresh by StartRun.
+struct SamplePhase {
+  uint64_t store_count = 0;
+  /// The run's fingerprint and sample phase (rows and transactions in
+  /// store order, clustering, merges, stats). When `resumed`, also the
+  /// labeling progress of the checkpoint it was restored from.
+  PipelineCheckpoint cp;
+  bool resumed = false;
+  TransactionDataset sample;  ///< cp.sample as a dataset
+  RockResult sample_result;   ///< clustering, merges and stats of the sample
   double sample_seconds = 0.0;
   double cluster_seconds = 0.0;
 };
 
-Result<SampledClustering> SampleAndCluster(const std::string& store_path,
-                                           const PipelineOptions& options,
-                                           uint64_t effective_sample,
-                                           RetryStats* retry_stats) {
-  SampledClustering out;
+/// Draws the sample with one streaming reservoir pass and clusters it,
+/// filling `phase`. Both halves must draw and cluster through this exact
+/// code path — a served model diverging by even one RNG call would break
+/// the serve ≡ pipeline bit-identity the differential tests enforce.
+Status SampleAndCluster(const std::string& store_path,
+                        const PipelineOptions& options,
+                        uint64_t effective_sample, RetryStats* retry_stats,
+                        SamplePhase* phase) {
+  PipelineCheckpoint& cp = phase->cp;
   // Pass 1: streaming reservoir sample of the store. Retried as a unit —
   // the RNG and reservoir reset every attempt, so a retry after a
   // transient mid-stream error draws exactly the sample an undisturbed
@@ -84,8 +89,8 @@ Result<SampledClustering> SampleAndCluster(const std::string& store_path,
   ROCK_RETURN_IF_ERROR(RetryTransient(
       options.retry,
       [&]() -> Status {
-        out.picked.clear();
-        out.rows.clear();
+        cp.sample.clear();
+        cp.sample_rows.clear();
         Rng rng(options.seed);
         auto reader = TransactionStoreReader::Open(store_path);
         ROCK_RETURN_IF_ERROR(reader.status());
@@ -100,33 +105,47 @@ Result<SampledClustering> SampleAndCluster(const std::string& store_path,
         std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
           return sampler.sample_indices()[a] < sampler.sample_indices()[b];
         });
-        out.picked.reserve(order.size());
-        out.rows.reserve(order.size());
+        cp.sample.reserve(order.size());
+        cp.sample_rows.reserve(order.size());
         for (size_t idx : order) {
-          out.picked.push_back(sampler.sample()[idx]);
-          out.rows.push_back(sampler.sample_indices()[idx]);
+          cp.sample.push_back(sampler.sample()[idx]);
+          cp.sample_rows.push_back(sampler.sample_indices()[idx]);
         }
         return Status::OK();
       },
       retry_stats, options.retry_sleeper));
-  for (const Transaction& tx : out.picked) out.sample.AddTransaction(tx);
-  out.sample_seconds = sample_timer.ElapsedSeconds();
+  for (const Transaction& tx : cp.sample) phase->sample.AddTransaction(tx);
+  phase->sample_seconds = sample_timer.ElapsedSeconds();
 
   // Cluster the sample.
   Timer cluster_timer;
-  TransactionJaccard sim(out.sample);
+  TransactionJaccard sim(phase->sample);
   RockClusterer clusterer(options.rock);
   auto rock_result = clusterer.Cluster(sim);
   ROCK_RETURN_IF_ERROR(rock_result.status());
-  out.rock = std::move(*rock_result);
-  out.cluster_seconds = cluster_timer.ElapsedSeconds();
-  return out;
+  phase->sample_result = std::move(*rock_result);
+  phase->cluster_seconds = cluster_timer.ElapsedSeconds();
+  cp.clustering = phase->sample_result.clustering;
+  cp.merges = phase->sample_result.merges;
+  cp.stats = phase->sample_result.stats;
+  return Status::OK();
 }
 
-}  // namespace
-
-Result<PipelineResult> RunRockPipeline(const std::string& store_path,
-                                       const PipelineOptions& options) {
+/// The prologue shared by RunRockPipeline and BuildModel:
+///   1. validate the options and configure failpoints;
+///   2. check that resume has a checkpoint path;
+///   3. count the store rows, clamp the sample and build the fingerprint;
+///   4. on resume, load the checkpoint and classify the result;
+///   5. restore the sample phase, or run SampleAndCluster.
+/// Anything wrong with the checkpoint — missing, torn, bit-rotted, or
+/// written by a different run — falls back to a clean fresh start,
+/// recorded as checkpoint.missing / invalid / mismatch; only an injected
+/// crash (simulated process death in the fault tests) propagates.
+Result<SamplePhase> StartRun(const std::string& store_path,
+                             const PipelineOptions& options,
+                             const char* empty_store_message,
+                             diag::MetricsRegistry* m,
+                             RetryStats* retry_stats) {
   ROCK_RETURN_IF_ERROR(options.rock.Validate());
   if (options.sample_size == 0) {
     return Status::InvalidArgument("sample_size must be > 0");
@@ -139,45 +158,31 @@ Result<PipelineResult> RunRockPipeline(const std::string& store_path,
         "resume requires a checkpoint_path to resume from");
   }
 
-  diag::MetricsRegistry registry;
-  const bool collect = options.rock.diag.collect_metrics;
-  diag::MetricsRegistry* m = collect ? &registry : nullptr;
-  const bool checkpointing = !options.checkpoint_path.empty();
-
-  PipelineResult out;
-  RetryStats retry_stats;  // sampling + checkpoint I/O (labeling has its own)
-
+  SamplePhase phase;
   Result<uint64_t> count_or = CountStoreRows(
-      store_path, options.retry, options.retry_sleeper, &retry_stats);
+      store_path, options.retry, options.retry_sleeper, retry_stats);
   if (!count_or.ok()) return count_or.status();
-  const uint64_t store_count = *count_or;
-  if (store_count == 0) {
-    return Status::InvalidArgument(
-        "cannot run the pipeline on an empty store");
+  phase.store_count = *count_or;
+  if (phase.store_count == 0) {
+    return Status::InvalidArgument(empty_store_message);
   }
-
   // A sample larger than the store degenerates to "cluster everything":
   // clamp instead of failing, and record that we did.
   const uint64_t effective_sample =
-      std::min<uint64_t>(options.sample_size, store_count);
+      std::min<uint64_t>(options.sample_size, phase.store_count);
   if (effective_sample < options.sample_size) {
     diag::AddCounter(m, "sample.clamped", 1);
   }
-  const CheckpointFingerprint fingerprint =
-      MakeFingerprint(store_count, effective_sample, options);
+  PipelineCheckpoint& cp = phase.cp;
+  cp.fingerprint =
+      MakeFingerprint(phase.store_count, effective_sample, options);
 
-  // Try to resume. Anything wrong with the checkpoint — missing, torn,
-  // bit-rotted, or written by a different run — falls back to a clean
-  // fresh start; only an injected crash (simulated process death in the
-  // fault tests) propagates.
-  PipelineCheckpoint cp;
-  bool have_checkpoint = false;
   if (options.resume) {
     auto loaded = LoadCheckpoint(options.checkpoint_path);
     if (loaded.ok()) {
-      if (loaded->fingerprint == fingerprint) {
+      if (loaded->fingerprint == cp.fingerprint) {
         cp = std::move(*loaded);
-        have_checkpoint = true;
+        phase.resumed = true;
       } else {
         diag::AddCounter(m, "checkpoint.mismatch", 1);
       }
@@ -192,62 +197,142 @@ Result<PipelineResult> RunRockPipeline(const std::string& store_path,
     }
   }
 
-  TransactionDataset sample;
-  if (have_checkpoint) {
-    // Sample phase restored verbatim: the clustering's member lists feed
-    // TransactionLabeler::Build's RNG draws, so reusing them bit-for-bit
-    // keeps the resumed labels identical to an uninterrupted run.
-    out.resumed = true;
-    diag::AddCounter(m, "pipeline.resumed", 1);
-    for (const Transaction& tx : cp.sample) sample.AddTransaction(tx);
-    out.sample_rows = cp.sample_rows;
-    out.sample_result.clustering = cp.clustering;
-    out.sample_result.merges = cp.merges;
-    out.sample_result.stats = cp.stats;
-  } else {
-    Result<SampledClustering> sc =
-        SampleAndCluster(store_path, options, effective_sample, &retry_stats);
-    if (!sc.ok()) return sc.status();
-    sample = std::move(sc->sample);
-    out.sample_rows = std::move(sc->rows);
-    out.sample_seconds = sc->sample_seconds;
-    out.sample_result = std::move(sc->rock);
-    out.cluster_seconds = sc->cluster_seconds;
-
-    cp.fingerprint = fingerprint;
-    cp.sample_rows = out.sample_rows;
-    cp.sample = std::move(sc->picked);
-    cp.clustering = out.sample_result.clustering;
-    cp.merges = out.sample_result.merges;
-    cp.stats = out.sample_result.stats;
+  if (!phase.resumed) {
+    ROCK_RETURN_IF_ERROR(SampleAndCluster(store_path, options,
+                                          effective_sample, retry_stats,
+                                          &phase));
+    return phase;
   }
+  // Sample phase restored verbatim: the clustering's member lists feed
+  // TransactionLabeler::Build's RNG draws, so reusing them bit-for-bit
+  // keeps the resumed labels identical to an uninterrupted run.
+  for (const Transaction& tx : cp.sample) phase.sample.AddTransaction(tx);
+  phase.sample_result.clustering = cp.clustering;
+  phase.sample_result.merges = cp.merges;
+  phase.sample_result.stats = cp.stats;
+  return phase;
+}
+
+/// Blank labeling progress over a `num_shards`-shard plan. BuildModel runs
+/// no scan and writes 0 shards; the row arrays still cover the store so the
+/// checkpoint passes LoadCheckpoint's cross-field check.
+void ResetLabelProgress(uint64_t num_shards, uint64_t store_count,
+                        PipelineCheckpoint* cp) {
+  cp->num_shards = num_shards;
+  cp->shard_done.assign(static_cast<size_t>(num_shards), 0);
+  cp->shard_stats.assign(static_cast<size_t>(num_shards),
+                         TransactionLabeler::AssignStats{});
+  cp->shard_outliers.assign(static_cast<size_t>(num_shards), 0);
+  cp->assignments.assign(static_cast<size_t>(store_count), kUnassigned);
+  cp->ground_truth.assign(static_cast<size_t>(store_count), kNoLabel);
+}
+
+/// Saves `cp` to the run's checkpoint path under the retry schedule.
+Status PersistCheckpoint(const PipelineCheckpoint& cp,
+                         const PipelineOptions& options,
+                         RetryStats* retry_stats) {
+  return RetryTransient(
+      options.retry,
+      [&] { return SaveCheckpoint(cp, options.checkpoint_path); },
+      retry_stats, options.retry_sleeper);
+}
+
+/// Removes the finished run's checkpoint, which has nothing left to resume.
+/// The removal goes through the "checkpoint.remove" failpoint site and the
+/// transient-retry schedule like every other checkpoint I/O. A removal that
+/// still fails after retries must NOT fail the run — the output is already
+/// complete — but it is counted (checkpoint.remove_failed), and the stale
+/// checkpoint it leaves behind is harmless: its fingerprint matches, so a
+/// later resume restores the identical result instead of recomputing. Only
+/// an injected crash (simulated process death) propagates.
+Status RemoveCheckpoint(const PipelineOptions& options,
+                        diag::MetricsRegistry* m, RetryStats* retry_stats) {
+  const Status removed = RetryTransient(
+      options.retry,
+      [&]() -> Status {
+        ROCK_RETURN_IF_ERROR(fail::ConsultRead("checkpoint.remove"));
+        if (std::remove(options.checkpoint_path.c_str()) != 0 &&
+            errno != ENOENT) {
+          return Status::IOError("cannot remove checkpoint '" +
+                                 options.checkpoint_path + "'");
+        }
+        return Status::OK();
+      },
+      retry_stats, options.retry_sleeper);
+  if (fail::IsInjectedCrash(removed)) return removed;
+  diag::AddCounter(
+      m, removed.ok() ? "checkpoint.removed" : "checkpoint.remove_failed", 1);
+  return Status::OK();
+}
+
+/// The metrics tail of every run: retry and fault counters on top of what
+/// the run recorded, snapshotted and merged with the clusterer's report.
+/// A labeling scan records its own retry counters into the registry, so
+/// these add the sampling/checkpoint share; the backoff gauge is
+/// last-write, so it is set to the full total including `scan_backoff_ms`.
+diag::RunMetrics FinishMetrics(diag::MetricsRegistry& registry,
+                               const RetryStats& retry_stats,
+                               double scan_backoff_ms,
+                               const diag::RunMetrics& cluster_metrics) {
+  registry.AddCounter("retry.attempts", retry_stats.attempts);
+  registry.AddCounter("retry.retries", retry_stats.retries);
+  registry.AddCounter("retry.exhausted", retry_stats.exhausted);
+  registry.SetGauge("retry.backoff_ms",
+                    retry_stats.backoff_ms + scan_backoff_ms);
+  for (const auto& [site, fired] : fail::FiredSnapshot()) {
+    registry.AddCounter("fault.fired." + site, fired);
+  }
+  diag::RunMetrics metrics = registry.Snapshot();
+  metrics.Merge(cluster_metrics);
+  return metrics;
+}
+
+}  // namespace
+
+Result<PipelineResult> RunRockPipeline(const std::string& store_path,
+                                       const PipelineOptions& options) {
+  diag::MetricsRegistry registry;
+  const bool collect = options.rock.diag.collect_metrics;
+  diag::MetricsRegistry* m = collect ? &registry : nullptr;
+  const bool checkpointing = !options.checkpoint_path.empty();
+  RetryStats retry_stats;  // sampling + checkpoint I/O (labeling has its own)
+
+  Result<SamplePhase> phase_or =
+      StartRun(store_path, options,
+               "cannot run the pipeline on an empty store", m, &retry_stats);
+  if (!phase_or.ok()) return phase_or.status();
+  SamplePhase& phase = *phase_or;
+  PipelineCheckpoint& cp = phase.cp;
+  const uint64_t store_count = phase.store_count;
+
+  PipelineResult out;
+  out.resumed = phase.resumed;
+  if (phase.resumed) diag::AddCounter(m, "pipeline.resumed", 1);
+  out.sample_rows = cp.sample_rows;
+  out.sample_seconds = phase.sample_seconds;
+  out.cluster_seconds = phase.cluster_seconds;
+  out.sample_result = std::move(phase.sample_result);
 
   // Pin the shard plan so resumed runs replan the exact same boundaries
-  // whatever --label-threads they are given (core/labeling.h).
+  // whatever --label-threads they are given (core/labeling.h). A
+  // shard-free checkpoint (written by BuildModel) restores only the
+  // sample phase; its shards are planned fresh.
+  const bool resume_labels = phase.resumed && cp.num_shards > 0;
   const size_t threads = ResolveThreads(options.rock.label_threads);
   const uint64_t num_shards =
-      have_checkpoint
+      resume_labels
           ? cp.num_shards
           : (threads <= 1
                  ? 1
                  : std::min<uint64_t>(store_count,
                                       static_cast<uint64_t>(threads) * 4));
   uint64_t checkpoint_writes = 0;
-  if (!have_checkpoint) {
-    cp.num_shards = num_shards;
-    cp.shard_done.assign(static_cast<size_t>(num_shards), 0);
-    cp.shard_stats.assign(static_cast<size_t>(num_shards),
-                          TransactionLabeler::AssignStats{});
-    cp.shard_outliers.assign(static_cast<size_t>(num_shards), 0);
-    cp.assignments.assign(static_cast<size_t>(store_count), kUnassigned);
-    cp.ground_truth.assign(static_cast<size_t>(store_count), kNoLabel);
+  if (!resume_labels) {
+    ResetLabelProgress(num_shards, store_count, &cp);
     if (checkpointing) {
       // Persist the sample phase before the long scan starts, so even a
       // crash in the very first shard resumes without re-clustering.
-      ROCK_RETURN_IF_ERROR(RetryTransient(
-          options.retry,
-          [&] { return SaveCheckpoint(cp, options.checkpoint_path); },
-          &retry_stats, options.retry_sleeper));
+      ROCK_RETURN_IF_ERROR(PersistCheckpoint(cp, options, &retry_stats));
       ++checkpoint_writes;
     }
   }
@@ -256,7 +341,7 @@ Result<PipelineResult> RunRockPipeline(const std::string& store_path,
   // options.rock.label_threads workers.
   Timer label_timer;
   auto labeler =
-      TransactionLabeler::Build(sample, out.sample_result.clustering,
+      TransactionLabeler::Build(phase.sample, out.sample_result.clustering,
                                 options.rock, options.labeling);
   ROCK_RETURN_IF_ERROR(labeler.status());
   LabelStoreOptions label_options;
@@ -266,7 +351,7 @@ Result<PipelineResult> RunRockPipeline(const std::string& store_path,
   label_options.retry = options.retry;
   label_options.retry_sleeper = options.retry_sleeper;
   LabelResumeState resume_state;
-  if (have_checkpoint) {
+  if (resume_labels) {
     resume_state.num_shards = cp.num_shards;
     resume_state.shard_done = &cp.shard_done;
     resume_state.assignments = &cp.assignments;
@@ -289,10 +374,7 @@ Result<PipelineResult> RunRockPipeline(const std::string& store_path,
                     static_cast<ptrdiff_t>(done.range.first_row));
       cp.shard_stats[done.shard] = done.stats;
       cp.shard_outliers[done.shard] = done.outliers;
-      ROCK_RETURN_IF_ERROR(RetryTransient(
-          options.retry,
-          [&] { return SaveCheckpoint(cp, options.checkpoint_path); },
-          &retry_stats, options.retry_sleeper));
+      ROCK_RETURN_IF_ERROR(PersistCheckpoint(cp, options, &retry_stats));
       ++checkpoint_writes;
       return Status::OK();
     };
@@ -303,35 +385,8 @@ Result<PipelineResult> RunRockPipeline(const std::string& store_path,
   out.shards_skipped = out.labeling.shards_skipped;
   out.label_seconds = label_timer.ElapsedSeconds();
 
-  // The run completed; the checkpoint has nothing left to resume. The
-  // removal goes through the "checkpoint.remove" failpoint site and the
-  // transient-retry schedule like every other checkpoint I/O. A removal
-  // that still fails after retries must NOT fail the run — the output is
-  // already complete — but it is counted (checkpoint.remove_failed), and
-  // the stale checkpoint it leaves behind is harmless: its fingerprint
-  // matches and every shard is marked done, so a later --resume restores
-  // the identical result instead of recomputing. Only an injected crash
-  // (simulated process death) propagates.
-  bool checkpoint_removed = false;
   if (checkpointing) {
-    const Status removed = RetryTransient(
-        options.retry,
-        [&]() -> Status {
-          ROCK_RETURN_IF_ERROR(fail::ConsultRead("checkpoint.remove"));
-          if (std::remove(options.checkpoint_path.c_str()) != 0 &&
-              errno != ENOENT) {
-            return Status::IOError("cannot remove checkpoint '" +
-                                   options.checkpoint_path + "'");
-          }
-          return Status::OK();
-        },
-        &retry_stats, options.retry_sleeper);
-    if (fail::IsInjectedCrash(removed)) return removed;
-    checkpoint_removed = removed.ok();
-    diag::AddCounter(m,
-                     checkpoint_removed ? "checkpoint.removed"
-                                        : "checkpoint.remove_failed",
-                     1);
+    ROCK_RETURN_IF_ERROR(RemoveCheckpoint(options, m, &retry_stats));
   }
 
   if (collect) {
@@ -343,20 +398,10 @@ Result<PipelineResult> RunRockPipeline(const std::string& store_path,
     if (checkpointing) {
       registry.AddCounter("checkpoint.writes", checkpoint_writes);
     }
-    // LabelStore already recorded its own retry counters into this
-    // registry; these add the sampling/checkpoint share on top. The gauge
-    // is last-write, so it carries the full total.
-    registry.AddCounter("retry.attempts", retry_stats.attempts);
-    registry.AddCounter("retry.retries", retry_stats.retries);
-    registry.AddCounter("retry.exhausted", retry_stats.exhausted);
-    registry.SetGauge(
-        "retry.backoff_ms",
-        retry_stats.backoff_ms + out.labeling.retry_stats.backoff_ms);
-    for (const auto& [site, fired] : fail::FiredSnapshot()) {
-      registry.AddCounter("fault.fired." + site, fired);
-    }
-    out.metrics = registry.Snapshot();
-    out.metrics.Merge(out.sample_result.metrics);
+    out.metrics =
+        FinishMetrics(registry, retry_stats,
+                      out.labeling.retry_stats.backoff_ms,
+                      out.sample_result.metrics);
   }
   return out;
 }
@@ -364,101 +409,34 @@ Result<PipelineResult> RunRockPipeline(const std::string& store_path,
 Result<ModelBuildResult> BuildModel(const std::string& store_path,
                                     const ModelBuildOptions& options) {
   const PipelineOptions& p = options.pipeline;
-  ROCK_RETURN_IF_ERROR(p.rock.Validate());
-  if (p.sample_size == 0) {
-    return Status::InvalidArgument("sample_size must be > 0");
-  }
-  if (!p.rock.failpoints.empty()) {
-    ROCK_RETURN_IF_ERROR(fail::Configure(p.rock.failpoints));
-  }
-  if (p.resume && p.checkpoint_path.empty()) {
-    return Status::InvalidArgument(
-        "resume requires a checkpoint_path to resume from");
-  }
-
   diag::MetricsRegistry registry;
   const bool collect = p.rock.diag.collect_metrics;
   diag::MetricsRegistry* m = collect ? &registry : nullptr;
   const bool checkpointing = !p.checkpoint_path.empty();
-
-  ModelBuildResult out;
   RetryStats retry_stats;
 
-  Result<uint64_t> count_or =
-      CountStoreRows(store_path, p.retry, p.retry_sleeper, &retry_stats);
-  if (!count_or.ok()) return count_or.status();
-  const uint64_t store_count = *count_or;
-  if (store_count == 0) {
-    return Status::InvalidArgument("cannot build a model on an empty store");
-  }
-  const uint64_t effective_sample =
-      std::min<uint64_t>(p.sample_size, store_count);
-  if (effective_sample < p.sample_size) {
-    diag::AddCounter(m, "sample.clamped", 1);
-  }
-  const CheckpointFingerprint fingerprint =
-      MakeFingerprint(store_count, effective_sample, p);
-
-  // Model rebuilds ride the PR-4 checkpoint spine: the sample+cluster
+  // Model rebuilds ride the pipeline's checkpoint spine: the sample+cluster
   // phase — the expensive part of a build — is persisted as a shard-free
   // checkpoint, and a resumed build restores it bit-for-bit, so a rebuild
   // interrupted between clustering and the bundle swap completes with a
-  // byte-identical bundle instead of re-clustering. Same fallback rules as
-  // RunRockPipeline: anything wrong with the checkpoint restarts cleanly.
-  PipelineCheckpoint cp;
-  bool have_checkpoint = false;
-  if (p.resume) {
-    auto loaded = LoadCheckpoint(p.checkpoint_path);
-    if (loaded.ok()) {
-      if (loaded->fingerprint == fingerprint) {
-        cp = std::move(*loaded);
-        have_checkpoint = true;
-      } else {
-        diag::AddCounter(m, "checkpoint.mismatch", 1);
-      }
-    } else if (fail::IsInjectedCrash(loaded.status())) {
-      return loaded.status();
-    } else if (loaded.status().IsCorruption()) {
-      diag::AddCounter(m, "checkpoint.invalid", 1);
-    } else if (loaded.status().IsIOError() || loaded.status().IsNotFound()) {
-      diag::AddCounter(m, "checkpoint.missing", 1);
-    } else {
-      return loaded.status();
-    }
-  }
+  // byte-identical bundle instead of re-clustering.
+  Result<SamplePhase> phase_or =
+      StartRun(store_path, p, "cannot build a model on an empty store", m,
+               &retry_stats);
+  if (!phase_or.ok()) return phase_or.status();
+  SamplePhase& phase = *phase_or;
+  const TransactionDataset& sample = phase.sample;
 
-  TransactionDataset sample;
-  if (have_checkpoint) {
-    out.resumed = true;
-    diag::AddCounter(m, "build.resumed", 1);
-    for (const Transaction& tx : cp.sample) sample.AddTransaction(tx);
-    out.sample_rows = cp.sample_rows;
-    out.sample_result.clustering = cp.clustering;
-    out.sample_result.merges = cp.merges;
-    out.sample_result.stats = cp.stats;
-  } else {
-    Result<SampledClustering> sc =
-        SampleAndCluster(store_path, p, effective_sample, &retry_stats);
-    if (!sc.ok()) return sc.status();
-    sample = std::move(sc->sample);
-    out.sample_rows = std::move(sc->rows);
-    out.sample_seconds = sc->sample_seconds;
-    out.sample_result = std::move(sc->rock);
-    out.cluster_seconds = sc->cluster_seconds;
-    if (checkpointing) {
-      cp.fingerprint = fingerprint;
-      cp.sample_rows = out.sample_rows;
-      cp.sample = std::move(sc->picked);
-      cp.clustering = out.sample_result.clustering;
-      cp.merges = out.sample_result.merges;
-      cp.stats = out.sample_result.stats;
-      cp.num_shards = 0;  // no labeling scan: the row arrays stay blank
-      cp.assignments.assign(static_cast<size_t>(store_count), kUnassigned);
-      cp.ground_truth.assign(static_cast<size_t>(store_count), kNoLabel);
-      ROCK_RETURN_IF_ERROR(RetryTransient(
-          p.retry, [&] { return SaveCheckpoint(cp, p.checkpoint_path); },
-          &retry_stats, p.retry_sleeper));
-    }
+  ModelBuildResult out;
+  out.resumed = phase.resumed;
+  if (phase.resumed) diag::AddCounter(m, "build.resumed", 1);
+  out.sample_rows = phase.cp.sample_rows;
+  out.sample_seconds = phase.sample_seconds;
+  out.cluster_seconds = phase.cluster_seconds;
+  out.sample_result = std::move(phase.sample_result);
+  if (checkpointing && !phase.resumed) {
+    ResetLabelProgress(0, phase.store_count, &phase.cp);
+    ROCK_RETURN_IF_ERROR(PersistCheckpoint(phase.cp, p, &retry_stats));
   }
 
   // Build the §4.6 labeler the same way the batch pipeline does, then
@@ -470,7 +448,7 @@ Result<ModelBuildResult> BuildModel(const std::string& store_path,
       sample, out.sample_result.clustering, p.rock, p.labeling);
   ROCK_RETURN_IF_ERROR(labeler.status());
 
-  out.bundle.fingerprint = fingerprint;
+  out.bundle.fingerprint = phase.cp.fingerprint;
   out.bundle.theta = labeler->theta();
   out.bundle.f_exponent = labeler->f_exponent();
   out.bundle.labeling_sets.reserve(labeler->num_clusters());
@@ -536,25 +514,9 @@ Result<ModelBuildResult> BuildModel(const std::string& store_path,
   out.build_seconds = build_timer.ElapsedSeconds();
 
   // The bundle is safely on disk (or was never requested): the rebuild
-  // checkpoint has nothing left to resume. Same non-fatal removal
-  // discipline as RunRockPipeline — only an injected crash propagates.
+  // checkpoint has nothing left to resume.
   if (checkpointing) {
-    const Status removed = RetryTransient(
-        p.retry,
-        [&]() -> Status {
-          ROCK_RETURN_IF_ERROR(fail::ConsultRead("checkpoint.remove"));
-          if (std::remove(p.checkpoint_path.c_str()) != 0 &&
-              errno != ENOENT) {
-            return Status::IOError("cannot remove checkpoint '" +
-                                   p.checkpoint_path + "'");
-          }
-          return Status::OK();
-        },
-        &retry_stats, p.retry_sleeper);
-    if (fail::IsInjectedCrash(removed)) return removed;
-    diag::AddCounter(
-        m, removed.ok() ? "checkpoint.removed" : "checkpoint.remove_failed",
-        1);
+    ROCK_RETURN_IF_ERROR(RemoveCheckpoint(p, m, &retry_stats));
   }
 
   if (collect) {
@@ -562,15 +524,8 @@ Result<ModelBuildResult> BuildModel(const std::string& store_path,
     registry.RecordSeconds("stage.build", out.build_seconds);
     registry.AddCounter("sample.rows", out.sample_rows.size());
     registry.AddCounter("model.clusters", out.bundle.labeling_sets.size());
-    registry.AddCounter("retry.attempts", retry_stats.attempts);
-    registry.AddCounter("retry.retries", retry_stats.retries);
-    registry.AddCounter("retry.exhausted", retry_stats.exhausted);
-    registry.SetGauge("retry.backoff_ms", retry_stats.backoff_ms);
-    for (const auto& [site, fired] : fail::FiredSnapshot()) {
-      registry.AddCounter("fault.fired." + site, fired);
-    }
-    out.metrics = registry.Snapshot();
-    out.metrics.Merge(out.sample_result.metrics);
+    out.metrics = FinishMetrics(registry, retry_stats, 0.0,
+                                out.sample_result.metrics);
   }
   return out;
 }

@@ -1,22 +1,25 @@
 // librock — util/bytes.h
 //
-// Little byte-buffer plumbing shared by every versioned+CRC'd on-disk
-// format (pipeline checkpoints, model bundles): an appending POD writer,
-// a bounds-checked POD reader, and whole-file read/write helpers. These
-// used to live in core/checkpoint.cc's anonymous namespace; they moved
-// here when the model bundle needed the same discipline.
+// The one on-disk framing shared by every versioned+CRC'd format (pipeline
+// checkpoints, model bundles), little-endian:
 //
-// ByteReader treats every overrun as the same Corruption — a truncated or
-// tampered payload — tagged with the caller-supplied `context` so the
-// error names which format was being parsed.
+//   [u64 magic][u32 version][u64 payload_size][u32 crc32]
+//   payload_size × u8 payload
+//
+// `crc32` covers the payload bytes. A format is described by a FrameFormat
+// (magic, accepted version range, failpoint sites, noun for error text);
+// WriteFramedFile and ReadFramedFile do the header, the atomic tmp + rename
+// write with its failpoint shapes, and the header/size/CRC checks on load.
+// Payloads are built with ByteWriter and parsed with ByteReader, which
+// treats every overrun as the same Corruption — a truncated or tampered
+// payload — tagged with the caller-supplied `context` so the error names
+// which format was being parsed.
 
 #ifndef ROCK_UTIL_BYTES_H_
 #define ROCK_UTIL_BYTES_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,6 +38,12 @@ struct ByteWriter {
   template <typename T>
   void Pod(const T& v) {
     Write(&v, sizeof(v));
+  }
+  /// u64 element count, then the elements' bytes.
+  template <typename T>
+  void PodVector(const std::vector<T>& v) {
+    Pod(static_cast<uint64_t>(v.size()));
+    if (!v.empty()) Write(v.data(), v.size() * sizeof(T));
   }
 };
 
@@ -58,53 +67,67 @@ struct ByteReader {
   Status Pod(T* out) {
     return Read(out, sizeof(*out));
   }
+  /// Reads what ByteWriter::PodVector wrote. A count over `cap` or past
+  /// the remaining bytes is Corruption "implausible <what>", checked
+  /// before anything is allocated.
+  template <typename T>
+  Status PodVector(std::vector<T>* out, const char* what,
+                   uint64_t cap = UINT64_MAX) {
+    uint64_t count = 0;
+    ROCK_RETURN_IF_ERROR(Pod(&count));
+    if (count > cap || count > Remaining() / sizeof(T)) {
+      return Status::Corruption(std::string("implausible ") + what);
+    }
+    out->resize(static_cast<size_t>(count));
+    return count > 0 ? Read(out->data(), out->size() * sizeof(T))
+                     : Status::OK();
+  }
   /// Remaining bytes — used to sanity-check counts before allocating.
   size_t Remaining() const { return size - pos; }
 };
 
-/// Writes `n` bytes to `path`, failing on short writes or flush errors.
-/// Callers wanting atomicity write to "<path>.tmp" and rename.
-inline Status WriteFileBytes(const std::string& path, const uint8_t* data,
-                             size_t n) {
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
-      std::fopen(path.c_str(), "wb"), &std::fclose);
-  if (file == nullptr) {
-    return Status::IOError("cannot create '" + path + "'");
-  }
-  if (n > 0 && std::fwrite(data, 1, n, file.get()) != n) {
-    return Status::IOError("short write to '" + path + "'");
-  }
-  if (std::fflush(file.get()) != 0) {
-    return Status::IOError("flush failure on '" + path + "'");
-  }
-  return Status::OK();
-}
+/// One framed on-disk format.
+struct FrameFormat {
+  uint64_t magic = 0;
+  uint32_t min_version = 0;  ///< oldest version ReadFramedFile accepts
+  uint32_t version = 0;      ///< version written; newest version accepted
+  const char* save_site = "";  ///< failpoint site of WriteFramedFile
+  const char* load_site = "";  ///< failpoint site of ReadFramedFile
+  const char* noun = "";       ///< names the format in error text
+};
 
-/// Reads the whole of `path` into memory. Missing file → IOError.
-inline Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
-      std::fopen(path.c_str(), "rb"), &std::fclose);
-  if (file == nullptr) {
-    return Status::IOError("cannot open '" + path + "'");
+/// Bytes of the frame header before the payload.
+inline constexpr size_t kFrameHeaderSize =
+    sizeof(uint64_t) + sizeof(uint32_t) + sizeof(uint64_t) + sizeof(uint32_t);
+
+/// Frames `payload` under `format.version` and writes it atomically: the
+/// bytes go to "<path>.tmp", which is renamed over `path` only once
+/// complete. Consults `format.save_site`: `torn_write` leaves half the
+/// framed bytes at the *final* path (a filesystem without atomic rename)
+/// and returns IOError; `crash` leaves only the complete tmp file (death
+/// between write and rename) and returns the injected crash; `error` and
+/// `short_read` return IOError having written nothing.
+Status WriteFramedFile(const FrameFormat& format, const std::string& path,
+                       const std::vector<uint8_t>& payload);
+
+/// A framed file read back whole, with its header verified.
+struct FramedFile {
+  uint32_t version = 0;
+  std::vector<uint8_t> bytes;  ///< the whole file, header included
+
+  /// Reader over the payload; `context` names the format in its errors.
+  ByteReader Payload(const char* context) const {
+    return {bytes.data() + kFrameHeaderSize, bytes.size() - kFrameHeaderSize,
+            0, context};
   }
-  std::FILE* f = file.get();
-  if (std::fseek(f, 0, SEEK_END) != 0) {
-    return Status::IOError("seek failure on '" + path + "'");
-  }
-  const long end = std::ftell(f);
-  if (end < 0) {
-    return Status::IOError("tell failure on '" + path + "'");
-  }
-  if (std::fseek(f, 0, SEEK_SET) != 0) {
-    return Status::IOError("seek failure on '" + path + "'");
-  }
-  std::vector<uint8_t> bytes(static_cast<size_t>(end));
-  if (!bytes.empty() &&
-      std::fread(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
-    return Status::IOError("read failure on '" + path + "'");
-  }
-  return bytes;
-}
+};
+
+/// Reads `path` and verifies its frame after consulting `format.load_site`.
+/// Missing file → IOError; a short header, wrong magic, a version outside
+/// [min_version, version], a payload size that disagrees with the file
+/// (torn write, trailing bytes) or a checksum mismatch → Corruption.
+Result<FramedFile> ReadFramedFile(const FrameFormat& format,
+                                  const std::string& path);
 
 }  // namespace rock
 

@@ -1,8 +1,8 @@
 // librock — util/checksum.h
 //
 // CRC-32 (IEEE 802.3 polynomial, the zlib/gzip variant) for on-disk
-// integrity: the transaction store, the labeler file and the pipeline
-// checkpoint all carry a payload CRC so that torn writes, truncation and
+// integrity: the transaction store, the pipeline checkpoint and the model
+// bundle all carry a payload CRC so that torn writes, truncation and
 // bit flips are detected as Corruption instead of being read back as data.
 // Streaming via Crc32Accumulator keeps the writers single-pass.
 

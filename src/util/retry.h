@@ -1,7 +1,7 @@
 // librock — util/retry.h
 //
 // Transient-error retry with capped exponential backoff, wrapped around the
-// disk pipeline's I/O (store scans, labeler/checkpoint persistence). Only
+// disk pipeline's I/O (store scans, checkpoint/bundle persistence). Only
 // IOError is considered transient: Corruption means the bytes are wrong and
 // rereading them cannot help, and an injected crash (util/failpoint.h) must
 // abort the run so resume can be exercised. The sleeper is injectable so

@@ -1,20 +1,24 @@
 // Tests for the production-extension modules: set-similarity measures,
 // extra clustering metrics (Fowlkes–Mallows, V-measure), labeler
-// serialization, and the ARFF reader.
+// persistence through the model bundle, and the ARFF reader.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <numeric>
 #include <vector>
 
 #include "core/labeling.h"
+#include "core/model_bundle.h"
 #include "data/arff_reader.h"
 #include "eval/metrics.h"
 #include "similarity/set_measures.h"
+#include "test_support.h"
+#include "util/checksum.h"
 
 namespace rock {
 namespace {
@@ -126,6 +130,9 @@ TEST(ExtraMetricsTest, VMeasureCompleteButInhomogeneous) {
 }
 
 // ----------------------------------------------------- labeler persistence --
+//
+// The model bundle is the one persisted form of a labeler: these drive the
+// SaveModelBundle → LoadModelBundle → FromParts round trip.
 
 class LabelerIoTest : public ::testing::Test {
  protected:
@@ -133,7 +140,10 @@ class LabelerIoTest : public ::testing::Test {
     path_ = std::filesystem::temp_directory_path() /
             ("rock_labeler_" + std::to_string(::getpid()) + ".bin");
   }
-  void TearDown() override { std::filesystem::remove(path_); }
+  void TearDown() override {
+    std::filesystem::remove(path_);
+    std::filesystem::remove(path_.string() + ".tmp");
+  }
   std::string path() const { return path_.string(); }
 
  private:
@@ -155,9 +165,9 @@ TEST_F(LabelerIoTest, SaveLoadRoundTripPreservesAssignments) {
   auto original =
       TransactionLabeler::Build(sample, clustering, rock, opt);
   ASSERT_TRUE(original.ok());
-  ASSERT_TRUE(original->Save(path()).ok());
+  ASSERT_TRUE(SaveModelBundle(LabelerBundle(*original), path()).ok());
 
-  auto loaded = TransactionLabeler::Load(path());
+  auto loaded = LoadLabelerBundle(path());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->num_clusters(), original->num_clusters());
   for (size_t c = 0; c < original->num_clusters(); ++c) {
@@ -183,18 +193,27 @@ TEST_F(LabelerIoTest, LoadRejectsGarbage) {
   {
     std::FILE* f = std::fopen(path().c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    const char junk[] = "not a labeler";
+    const char junk[] = "not a labeler, not a model bundle";
     std::fwrite(junk, 1, sizeof(junk), f);
     std::fclose(f);
   }
-  EXPECT_TRUE(TransactionLabeler::Load(path()).status().IsCorruption());
-  EXPECT_TRUE(
-      TransactionLabeler::Load("/no/such/file").status().IsIOError());
+  EXPECT_TRUE(LoadLabelerBundle(path()).status().IsCorruption());
+  EXPECT_TRUE(LoadLabelerBundle("/no/such/file").status().IsIOError());
 }
 
 namespace {
 
-/// Builds a small two-cluster labeler and Save()s it to `path`.
+// Frame layout (util/bytes.h): magic u64 | version u32 | payload_size u64 |
+// crc32 u32, then the payload.
+constexpr long kPayloadSizeOffset = 8 + 4;
+constexpr long kCrcOffset = 8 + 4 + 8;
+constexpr long kPayloadOffset = 8 + 4 + 8 + 4;
+// Payload layout (core/model_bundle.h): fingerprint 11 × 8 | theta f64 |
+// f_exponent f64 | num_clusters u64 | per cluster: set_size u64 | ...
+constexpr long kNumClustersOffset = kPayloadOffset + 11 * 8 + 8 + 8;
+constexpr long kFirstSetSizeOffset = kNumClustersOffset + 8;
+
+/// Builds a small two-cluster labeler and saves its bundle to `path`.
 void WriteValidLabelerFile(const std::string& path) {
   TransactionDataset sample;
   sample.AddTransaction({"a", "b"});
@@ -208,19 +227,53 @@ void WriteValidLabelerFile(const std::string& path) {
   opt.fraction = 1.0;
   auto labeler = TransactionLabeler::Build(sample, clustering, rock, opt);
   ASSERT_TRUE(labeler.ok()) << labeler.status().ToString();
-  ASSERT_TRUE(labeler->Save(path).ok());
+  ASSERT_TRUE(SaveModelBundle(LabelerBundle(*labeler), path).ok());
+}
+
+std::vector<uint8_t> ReadFile(const std::string& path) {
+  std::vector<uint8_t> bytes(std::filesystem::file_size(path));
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr);
+  EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+  return bytes;
+}
+
+void WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
 }
 
 /// XORs one byte of the file at `offset` with `mask`.
 void FlipByte(const std::string& path, long offset, unsigned char mask) {
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
-  int c = std::fgetc(f);
-  ASSERT_NE(c, EOF);
-  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
-  std::fputc(static_cast<unsigned char>(c) ^ mask, f);
-  std::fclose(f);
+  std::vector<uint8_t> bytes = ReadFile(path);
+  ASSERT_LT(static_cast<size_t>(offset), bytes.size());
+  bytes[static_cast<size_t>(offset)] ^= mask;
+  WriteFile(path, bytes);
+}
+
+/// Rewrites the frame's payload size and crc32 to match the bytes now on
+/// disk, so a planted payload defect reaches the payload parser instead of
+/// being caught by the frame checks.
+void RestampFrame(const std::string& path) {
+  std::vector<uint8_t> bytes = ReadFile(path);
+  ASSERT_GE(bytes.size(), static_cast<size_t>(kPayloadOffset));
+  const uint64_t size = bytes.size() - kPayloadOffset;
+  const uint32_t crc = Crc32(bytes.data() + kPayloadOffset, size);
+  std::memcpy(bytes.data() + kPayloadSizeOffset, &size, sizeof(size));
+  std::memcpy(bytes.data() + kCrcOffset, &crc, sizeof(crc));
+  WriteFile(path, bytes);
+}
+
+/// Asserts that loading `path` fails as Corruption whose text holds `what`.
+void ExpectCorruption(const std::string& path, const std::string& what) {
+  auto loaded = LoadLabelerBundle(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+  EXPECT_NE(loaded.status().ToString().find(what), std::string::npos)
+      << loaded.status().ToString();
 }
 
 }  // namespace
@@ -230,61 +283,74 @@ TEST_F(LabelerIoTest, LoadRejectsTruncatedFile) {
   const auto full = std::filesystem::file_size(path());
   ASSERT_GT(full, 8u);
   // Cut mid-payload and mid-header: both must fail as corruption, at every
-  // truncation point — a prefix of a labeler file is never a labeler file.
+  // truncation point — a prefix of a bundle is never a bundle.
   for (uintmax_t keep : {full - 5, full / 2, uintmax_t{9}}) {
     std::filesystem::resize_file(path(), keep);
-    EXPECT_TRUE(TransactionLabeler::Load(path()).status().IsCorruption())
+    EXPECT_TRUE(LoadLabelerBundle(path()).status().IsCorruption())
         << "kept " << keep << " of " << full << " bytes";
   }
 }
 
 TEST_F(LabelerIoTest, LoadRejectsBitFlippedCounts) {
   // Flipping a high bit of a count field must be caught by the plausibility
-  // bounds rather than driving a multi-gigabyte allocation.
-  // Header layout: magic u64 | version u32 | theta f64 | exponent f64 |
-  // num_clusters u64 | per cluster: set_size u64 | ...
+  // caps rather than driving a multi-gigabyte allocation. Each flip is
+  // re-stamped with a fresh crc32, so the cap rejects it, not the checksum.
   WriteValidLabelerFile(path());
   FlipByte(path(), 0, 0xff);  // magic
-  EXPECT_TRUE(TransactionLabeler::Load(path()).status().IsCorruption());
+  ExpectCorruption(path(), "is not a model bundle");
 
   WriteValidLabelerFile(path());
-  FlipByte(path(), 8 + 4 + 8 + 8 + 6, 0xff);  // num_clusters, high byte
-  EXPECT_TRUE(TransactionLabeler::Load(path()).status().IsCorruption());
+  FlipByte(path(), kNumClustersOffset + 6, 0xff);  // high byte
+  RestampFrame(path());
+  ExpectCorruption(path(), "implausible model cluster count");
 
   WriteValidLabelerFile(path());
-  FlipByte(path(), 8 + 4 + 8 + 8 + 8 + 6, 0xff);  // first set_size, high byte
-  EXPECT_TRUE(TransactionLabeler::Load(path()).status().IsCorruption());
+  FlipByte(path(), kFirstSetSizeOffset + 6, 0xff);  // high byte
+  RestampFrame(path());
+  ExpectCorruption(path(), "implausible model transaction count");
 }
 
 TEST_F(LabelerIoTest, LoadRejectsTrailingBytes) {
   WriteValidLabelerFile(path());
-  {
-    std::FILE* f = std::fopen(path().c_str(), "ab");
-    ASSERT_NE(f, nullptr);
-    std::fputc(0, f);
-    std::fclose(f);
-  }
-  auto loaded = TransactionLabeler::Load(path());
-  EXPECT_TRUE(loaded.status().IsCorruption());
-  EXPECT_NE(loaded.status().ToString().find("trailing"), std::string::npos);
+  std::vector<uint8_t> bytes = ReadFile(path());
+  bytes.push_back(0);
+  WriteFile(path(), bytes);
+  // Raw: the frame's payload size no longer matches the file.
+  ExpectCorruption(path(), "payload size mismatch");
+  // Re-framed: the payload parser finds the byte past the profile.
+  RestampFrame(path());
+  ExpectCorruption(path(), "trailing");
 }
 
 TEST_F(LabelerIoTest, SaveRejectsOversizeTransaction) {
-  // The file format stores transaction lengths as u32 with a 2^24-item cap;
-  // Save must refuse (not silently truncate) anything larger.
+  // Every count the loader caps, the saver caps too: a bundle the loader
+  // would refuse is InvalidArgument and never reaches disk.
   std::vector<ItemId> huge((1u << 24) + 1);
   std::iota(huge.begin(), huge.end(), ItemId{0});
-  TransactionDataset sample;
-  sample.AddTransaction(Transaction(std::move(huge)));
-  sample.AddTransaction({"a", "b"});
-  Clustering clustering = Clustering::FromAssignment({0, 0});
-  RockOptions rock;
-  LabelingOptions opt;
-  opt.fraction = 1.0;
-  auto labeler = TransactionLabeler::Build(sample, clustering, rock, opt);
-  ASSERT_TRUE(labeler.ok());
-  EXPECT_TRUE(labeler->Save(path()).IsInvalidArgument());
-  std::filesystem::remove(path());
+  ModelBundle oversize_transaction;
+  oversize_transaction.theta = 0.5;
+  oversize_transaction.f_exponent = 1.0 / 3.0;
+  oversize_transaction.labeling_sets = {
+      {Transaction(std::move(huge)), Transaction({1, 2})}};
+
+  ModelBundle oversize_name;
+  oversize_name.theta = 0.5;
+  oversize_name.f_exponent = 1.0 / 3.0;
+  oversize_name.labeling_sets = {{Transaction({0, 1})}};
+  oversize_name.dictionary = {"a", std::string((1u << 16) + 1, 'n')};
+
+  for (const ModelBundle* bundle : {&oversize_transaction, &oversize_name}) {
+    const Status s = SaveModelBundle(*bundle, path());
+    EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    EXPECT_FALSE(std::filesystem::exists(path()));
+    EXPECT_FALSE(std::filesystem::exists(path() + ".tmp"));
+  }
+  // One byte shorter is legal on both sides.
+  oversize_name.dictionary[1].pop_back();
+  ASSERT_TRUE(SaveModelBundle(oversize_name, path()).ok());
+  auto loaded = LoadModelBundle(path());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->dictionary, oversize_name.dictionary);
 }
 
 // ------------------------------------------------------------------- ARFF --

@@ -2,10 +2,10 @@
 //
 // Covers the failpoint schedule grammar (util/failpoint.h), the
 // transient-retry backoff engine (util/retry.h), injected faults at every
-// store/labeler I/O site, and a seeded corruption matrix proving that
-// truncation, bit flips and appended garbage in store/labeler files always
-// surface as Corruption/InvalidArgument — never a crash, never silent
-// success. The failpoint registry is process-global, so every fixture
+// store/model-bundle I/O site, and a seeded corruption matrix proving that
+// truncation, bit flips and appended garbage in store and bundle files
+// always surface as Corruption/InvalidArgument — never a crash, never
+// silent success. The failpoint registry is process-global, so every fixture
 // clears it on both sides of each test.
 
 #include <gtest/gtest.h>
@@ -407,27 +407,36 @@ TEST_F(StoreFaultTest, TornAppendLeavesADetectableFile) {
 }
 
 TEST_F(StoreFaultTest, LabelerSaveAndLoadSitesInject) {
+  // A labeler persists as a model bundle, through the model.save and
+  // model.load sites.
   if (!fail::BuildEnabled()) GTEST_SKIP() << "failpoints compiled out";
   auto labeler = MakeGroupedLabeler(data_);
   ASSERT_TRUE(labeler.ok()) << labeler.status().ToString();
+  const ModelBundle bundle = LabelerBundle(*labeler);
   const std::string path = Track(TempPath("rock_labeler_fault"));
 
-  ASSERT_TRUE(fail::Configure("labeler.save=fire_on_hit_2:torn_write").ok());
-  Status s = labeler->Save(path);
+  ASSERT_TRUE(fail::Configure("model.save=fire_on_hit_1:torn_write").ok());
+  Status s = SaveModelBundle(bundle, path);
   EXPECT_TRUE(s.IsIOError()) << s.ToString();
   fail::Clear();
-  // The torn labeler file must be rejected, never half-loaded.
-  auto torn = TransactionLabeler::Load(path);
+  // The torn bundle must be rejected, never half-loaded.
+  auto torn = LoadLabelerBundle(path);
   EXPECT_FALSE(torn.ok());
   EXPECT_TRUE(torn.status().IsCorruption()) << torn.status().ToString();
 
-  ASSERT_TRUE(labeler->Save(path).ok());
-  ASSERT_TRUE(fail::Configure("labeler.load=fire_on_hit_1:error").ok());
-  auto load = TransactionLabeler::Load(path);
+  ASSERT_TRUE(SaveModelBundle(bundle, path).ok());
+  ASSERT_TRUE(fail::Configure("model.load=fire_on_hit_1:error").ok());
+  auto load = LoadLabelerBundle(path);
   EXPECT_FALSE(load.ok());
   EXPECT_TRUE(load.status().IsIOError()) << load.status().ToString();
   fail::Clear();
-  EXPECT_TRUE(TransactionLabeler::Load(path).ok());
+  auto reloaded = LoadLabelerBundle(path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  for (size_t i = 0; i < data_.size(); ++i) {
+    EXPECT_EQ(reloaded->Assign(data_.transaction(i)),
+              labeler->Assign(data_.transaction(i)))
+        << "row " << i;
+  }
 }
 
 TEST_F(StoreFaultTest, LabelStoreRetriesATransientOpenFault) {
@@ -521,12 +530,13 @@ TEST_F(FailpointTest, StoreCorruptionMatrixNeverSilentlySucceeds) {
 }
 
 TEST_F(FailpointTest, LabelerCorruptionMatrixNeverSilentlySucceeds) {
+  // Mutations of a persisted labeler, i.e. of its model-bundle bytes.
   ROCK_SEEDED_RNG(rng, 0x1abe1e12ULL);
   auto labeler = MakeGroupedLabeler(MakeGroupedDataset(24, 0xfeed));
   ASSERT_TRUE(labeler.ok()) << labeler.status().ToString();
   const std::string good = Track(TempPath("rock_labeler_matrix_good"));
   const std::string bad = Track(TempPath("rock_labeler_matrix_bad"));
-  ASSERT_TRUE(labeler->Save(good).ok());
+  ASSERT_TRUE(SaveModelBundle(LabelerBundle(*labeler), good).ok());
   const std::vector<unsigned char> bytes = ReadAllBytes(good);
 
   for (int trial = 0; trial < 90; ++trial) {
@@ -534,7 +544,7 @@ TEST_F(FailpointTest, LabelerCorruptionMatrixNeverSilentlySucceeds) {
     const auto mode = static_cast<Mutation>(trial % 3);
     WriteAllBytes(bad, Mutate(bytes, mode, rng));
 
-    auto r = TransactionLabeler::Load(bad);
+    auto r = LoadLabelerBundle(bad);
     ASSERT_FALSE(r.ok()) << "corruption loaded silently";
     EXPECT_TRUE(r.status().IsCorruption() || r.status().IsInvalidArgument())
         << r.status().ToString();

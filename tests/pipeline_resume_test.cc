@@ -401,6 +401,47 @@ TEST_F(PipelineResumeTest, CrashDuringLabelScanResumesIdentically) {
   }
 }
 
+TEST_F(PipelineResumeTest, ResumeFromBuildCheckpointReusesTheClustering) {
+  // A model build that dies before its bundle lands leaves a shard-free
+  // checkpoint (num_shards = 0) with a matching fingerprint. The batch
+  // pipeline must resume from it: restore the sample phase and plan its
+  // label shards fresh.
+  if (!fail::BuildEnabled()) GTEST_SKIP() << "failpoints compiled out";
+  auto baseline = RunRockPipeline(store_path_, BaseOptions(0.5, 1));
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+
+  const std::string model_path = ckpt_path_ + ".model";
+  ModelBuildOptions build;
+  build.pipeline = BaseOptions(0.5, 1);
+  build.pipeline.checkpoint_path = ckpt_path_;
+  build.pipeline.rock.failpoints = "model.save=fire_on_hit_1:crash";
+  build.model_path = model_path;
+  auto crashed = BuildModel(store_path_, build);
+  ASSERT_FALSE(crashed.ok());
+  EXPECT_TRUE(fail::IsInjectedCrash(crashed.status()))
+      << crashed.status().ToString();
+  std::remove((model_path + ".tmp").c_str());
+  fail::Clear();
+  auto left = LoadCheckpoint(ckpt_path_);
+  ASSERT_TRUE(left.ok()) << left.status().ToString();
+  ASSERT_EQ(left->num_shards, 0u);
+
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    ASSERT_TRUE(SaveCheckpoint(*left, ckpt_path_).ok());
+    auto opt = BaseOptions(0.5, threads);
+    opt.checkpoint_path = ckpt_path_;
+    opt.resume = true;
+    auto resumed = RunRockPipeline(store_path_, opt);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    EXPECT_TRUE(resumed->resumed);
+    EXPECT_EQ(resumed->metrics.CounterOr("pipeline.resumed"), 1u);
+    EXPECT_EQ(resumed->shards_skipped, 0u);
+    ExpectSameOutputs(*resumed, *baseline);
+    EXPECT_FALSE(fs::exists(ckpt_path_));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Corrupt / torn / mismatched checkpoints: always a clean restart with
 // bit-identical output — never wrong labels.

@@ -2,8 +2,9 @@
 # tools/tier1.sh — the repo's tier-1 verification gate.
 #
 #   1. standard build + full ctest suite (ROADMAP.md "Tier-1 verify");
-#   2. serve smoke: gen → pipeline → build → query/serve, diffing the
-#      served assignments byte-for-byte against the batch pipeline's;
+#   2. serve smoke: gen → pipeline (plain and checkpointed) → build →
+#      query/serve, diffing the checkpointed run's and the served
+#      assignments byte-for-byte against the batch pipeline's;
 #   3. stream smoke: `rock append` onto a copy of the store, diffing the
 #      incrementally labeled rows byte-for-byte against the tail of a full
 #      `rock query --from-store` relabel of the grown store, plus the
@@ -30,6 +31,17 @@ ROCK=build/tools/rock
 "$ROCK" gen --dataset=basket --scale=0.02 --out="$SMOKE_DIR/baskets.store"
 "$ROCK" pipeline --store="$SMOKE_DIR/baskets.store" --sample-size=400 \
     --theta=0.5 --k=10 --assignments="$SMOKE_DIR/batch.csv"
+# Checkpointed leg: the same run through the checkpoint writer and the
+# shared sample/resume prologue must write identical assignments and
+# remove its checkpoint once done.
+"$ROCK" pipeline --store="$SMOKE_DIR/baskets.store" --sample-size=400 \
+    --theta=0.5 --k=10 --checkpoint="$SMOKE_DIR/run.ckpt" \
+    --assignments="$SMOKE_DIR/checkpointed.csv"
+cmp "$SMOKE_DIR/batch.csv" "$SMOKE_DIR/checkpointed.csv" \
+    || { echo "serve smoke: checkpointed run differs from pipeline"; exit 1; }
+[[ ! -e "$SMOKE_DIR/run.ckpt" ]] \
+    || { echo "serve smoke: checkpoint left behind after a clean run"; \
+         exit 1; }
 "$ROCK" build --store="$SMOKE_DIR/baskets.store" --sample-size=400 \
     --theta=0.5 --k=10 --model="$SMOKE_DIR/model.rock"
 "$ROCK" query --model="$SMOKE_DIR/model.rock" \
