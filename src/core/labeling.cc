@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <mutex>
+#include <utility>
 
 #include "common/timer.h"
 #include "diag/metrics.h"
@@ -67,29 +69,214 @@ Result<TransactionLabeler> TransactionLabeler::FromParts(
   return labeler;
 }
 
+namespace {
+
+/// Byte cap on the labeler's precomputed per-|T| threshold planes.
+constexpr size_t kThresholdTableBytes = size_t{1} << 20;
+
+/// Groups (key, bit position) pairs by key into sparse per-key bit columns:
+/// keys[k] and pairs [begin[k], begin[k+1]) of `bits`, one pair per
+/// nonzero 64-bit word. `pairs` is sorted in place.
+template <typename Key, typename WordBits>
+void BuildColumns(std::vector<std::pair<Key, uint32_t>>* pairs,
+                  std::vector<Key>* keys, std::vector<uint32_t>* begin,
+                  std::vector<WordBits>* bits) {
+  std::sort(pairs->begin(), pairs->end());
+  keys->clear();
+  begin->clear();
+  bits->clear();
+  for (const auto& [key, pos] : *pairs) {
+    const uint32_t word = pos / 64;
+    const uint64_t bit = uint64_t{1} << (pos % 64);
+    if (keys->empty() || keys->back() != key) {
+      keys->push_back(key);
+      begin->push_back(static_cast<uint32_t>(bits->size()));
+    } else if (bits->back().word == word) {
+      bits->back().bits |= bit;
+      continue;
+    }
+    bits->push_back(WordBits{bit, word});
+  }
+  begin->push_back(static_cast<uint32_t>(bits->size()));
+}
+
+/// What one cluster's word range holds after a row's ripple-adds.
+struct RangeTally {
+  uint32_t neighbors = 0;  ///< points with |T ∩ q| >= m(|T|, |q|)
+  uint32_t sharing = 0;    ///< points sharing an item (nonzero counter)
+  uint32_t tested = 0;     ///< sharing points that have a threshold
+};
+
+/// Compares the counter planes of words [begin, end) with their threshold
+/// planes (B planes + valid mask per word, MSB first) and zeroes the
+/// counters so the next row starts clean.
+[[gnu::always_inline]] inline RangeTally TallyRangeBody(
+    uint64_t* counters, const uint64_t* thresholds, size_t planes,
+    size_t begin, size_t end) {
+  RangeTally tally;
+  for (size_t w = begin; w < end; ++w) {
+    uint64_t* ctr = counters + w * planes;
+    const uint64_t* m = thresholds + w * (planes + 1);
+    uint64_t nonzero = 0;
+    uint64_t greater = 0;
+    uint64_t equal = ~uint64_t{0};
+    for (size_t b = planes; b-- > 0;) {
+      const uint64_t count = ctr[b];
+      ctr[b] = 0;
+      nonzero |= count;
+      greater |= equal & count & ~m[b];
+      equal &= ~(count ^ m[b]);
+    }
+    const uint64_t valid = m[planes];
+    tally.neighbors +=
+        static_cast<uint32_t>(std::popcount((greater | equal) & valid));
+    tally.sharing += static_cast<uint32_t>(std::popcount(nonzero));
+    tally.tested += static_cast<uint32_t>(std::popcount(nonzero & valid));
+  }
+  return tally;
+}
+
+using TallyRangeFn = RangeTally (*)(uint64_t*, const uint64_t*, size_t,
+                                    size_t, size_t);
+
+RangeTally TallyRangePortable(uint64_t* counters, const uint64_t* thresholds,
+                              size_t planes, size_t begin, size_t end) {
+  return TallyRangeBody(counters, thresholds, planes, begin, end);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+// The same body with the popcnt instruction; without it every popcount
+// is a library call, which costs more than the rest of the tally.
+__attribute__((target("popcnt"))) RangeTally TallyRangePopcnt(
+    uint64_t* counters, const uint64_t* thresholds, size_t planes,
+    size_t begin, size_t end) {
+  return TallyRangeBody(counters, thresholds, planes, begin, end);
+}
+#endif
+
+TallyRangeFn ResolveTallyRange() {
+#if defined(__x86_64__) || defined(__i386__)
+  if (__builtin_cpu_supports("popcnt")) return &TallyRangePopcnt;
+#endif
+  return &TallyRangePortable;
+}
+
+const TallyRangeFn g_tally_range = ResolveTallyRange();
+
+}  // namespace
+
+uint64_t TransactionLabeler::NeighborThreshold(double theta, uint64_t t,
+                                               uint64_t q) {
+  const uint64_t lo = std::min(t, q);
+  if (lo == 0) return 0;
+  const auto passes = [&](uint64_t i) {
+    return static_cast<double>(i) / static_cast<double>(t + q - i) >= theta;
+  };
+  // At i = min(t, q) the predicate is the length bound min/max >= θ; the
+  // predicate only grows with i, so failing there means no i passes.
+  if (!passes(lo)) return 0;
+  // i/(t+q-i) >= θ  ⇔  i >= θ(t+q)/(1+θ): start from that closed form and
+  // step to the exact least passing i under the same double predicate.
+  const double guess = std::ceil(theta * static_cast<double>(t + q) /
+                                 (1.0 + theta));
+  uint64_t i = guess <= 1.0 ? 1
+               : guess >= static_cast<double>(lo)
+                   ? lo
+                   : static_cast<uint64_t>(guess);
+  if (passes(i)) {
+    while (i > 1 && passes(i - 1)) --i;
+  } else {
+    while (!passes(i)) ++i;
+  }
+  return i;
+}
+
 void TransactionLabeler::BuildIndex() {
-  item_to_points_.clear();
-  point_cluster_.clear();
-  point_size_.clear();
-  ItemId max_item = 0;
-  bool any = false;
+  // Flatten L in cluster order, each cluster from a fresh word, and record
+  // every (item, point) and (|q|, point) posting by bit position.
+  cluster_word_.assign(1, 0);
+  std::vector<std::pair<ItemId, uint32_t>> item_points;
+  std::vector<std::pair<uint64_t, uint32_t>> size_points;
+  uint64_t max_q = 0;
   for (const auto& set : sets_) {
-    for (const Transaction& q : set) {
-      if (!q.empty()) {
-        any = true;
-        max_item = std::max(max_item, q.items().back());
-      }
+    const uint32_t base = cluster_word_.back() * 64;
+    for (size_t j = 0; j < set.size(); ++j) {
+      const Transaction& q = set[j];
+      const uint32_t pos = base + static_cast<uint32_t>(j);
+      for (ItemId item : q) item_points.emplace_back(item, pos);
+      if (!q.empty()) size_points.emplace_back(q.size(), pos);
+      max_q = std::max<uint64_t>(max_q, q.size());
+    }
+    cluster_word_.push_back(cluster_word_.back() +
+                            static_cast<uint32_t>((set.size() + 63) / 64));
+  }
+  words_ = cluster_word_.back();
+  planes_ = static_cast<size_t>(std::bit_width(max_q));
+  BuildColumns(&item_points, &column_item_, &column_begin_, &column_bits_);
+  BuildColumns(&size_points, &size_value_, &size_begin_, &size_bits_);
+
+  // Open addressing at load ≤ 1/2 over the distinct items.
+  const size_t slots =
+      std::bit_ceil(std::max<size_t>(2, 2 * column_item_.size()));
+  slot_shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
+  item_slots_.assign(slots, kNoColumn);
+  for (uint32_t col = 0; col < column_item_.size(); ++col) {
+    size_t h = (column_item_[col] * 0x9E3779B97F4A7C15ull) >> slot_shift_;
+    while (item_slots_[h] != kNoColumn) h = (h + 1) & (slots - 1);
+    item_slots_[h] = col;
+  }
+
+  // Rows with |T| > max_t_ fail the length bound against every point:
+  // min/max = |q|/|T| only falls as |T| grows, and the largest |q| falls
+  // last. Past 2^40 the exact double test is not needed (no transaction is
+  // that long), so the cut is left open there.
+  max_t_ = 0;
+  if (max_q > 0 && theta_ > 0.0) {
+    const auto keeps = [&](uint64_t t) {
+      return static_cast<double>(max_q) / static_cast<double>(t) >= theta_;
+    };
+    const double guess = static_cast<double>(max_q) / theta_;
+    if (guess >= 0x1p40) {
+      max_t_ = UINT64_MAX;
+    } else {
+      max_t_ = std::max<uint64_t>(max_q, static_cast<uint64_t>(guess));
+      while (keeps(max_t_ + 1)) ++max_t_;
+      while (!keeps(max_t_)) --max_t_;
     }
   }
-  if (any) item_to_points_.resize(static_cast<size_t>(max_item) + 1);
-  for (size_t c = 0; c < sets_.size(); ++c) {
-    for (const Transaction& q : sets_[c]) {
-      const uint32_t point = static_cast<uint32_t>(point_cluster_.size());
-      point_cluster_.push_back(static_cast<uint32_t>(c));
-      point_size_.push_back(static_cast<uint32_t>(q.size()));
-      // Transactions are deduplicated, so each posting list gains this
-      // point at most once.
-      for (ItemId item : q) item_to_points_[item].push_back(point);
+  const size_t per_t = words_ * (planes_ + 1);
+  table_max_t_ = per_t == 0 ? 0
+                             : std::min<uint64_t>(
+                                   max_t_, kThresholdTableBytes /
+                                               (per_t * sizeof(uint64_t)));
+  threshold_table_.assign(table_max_t_ * per_t, 0);
+  for (uint64_t t = 1; t <= table_max_t_; ++t) {
+    FillThresholds(t, threshold_table_.data() + (t - 1) * per_t);
+  }
+}
+
+inline uint32_t TransactionLabeler::FindColumn(ItemId item) const {
+  const size_t mask = item_slots_.size() - 1;
+  size_t h = (item * 0x9E3779B97F4A7C15ull) >> slot_shift_;
+  for (;; h = (h + 1) & mask) {
+    const uint32_t col = item_slots_[h];
+    if (col == kNoColumn || column_item_[col] == item) return col;
+  }
+}
+
+void TransactionLabeler::FillThresholds(uint64_t t, uint64_t* out) const {
+  const size_t stride = planes_ + 1;
+  std::fill(out, out + words_ * stride, uint64_t{0});
+  for (size_t s = 0; s < size_value_.size(); ++s) {
+    const uint64_t m = NeighborThreshold(theta_, t, size_value_[s]);
+    if (m == 0) continue;  // the length bound rules this size out
+    for (uint32_t k = size_begin_[s]; k < size_begin_[s + 1]; ++k) {
+      uint64_t* w = out + size_bits_[k].word * stride;
+      const uint64_t bits = size_bits_[k].bits;
+      w[planes_] |= bits;  // valid mask
+      for (size_t b = 0; b < planes_; ++b) {
+        if ((m >> b) & 1) w[b] |= bits;
+      }
     }
   }
 }
@@ -156,82 +343,65 @@ TransactionLabeler::AssignOutcome TransactionLabeler::AssignDetailed(
     return best;
   }
 
-  // ScanCount over the inverted index: one pass through the postings of
-  // tx's items accumulates the exact intersection size |T ∩ q| for every
-  // labeling point q sharing an item with T. Points sharing none have
-  // Jaccard 0 and are never visited — for θ > 0 they can't be neighbors.
+  // Bit-sliced D·Lᵀ: word w of plane b holds bit b of |T ∩ q| for the 64
+  // labeling points of word w. Points sharing no item with T keep a zero
+  // counter and have Jaccard 0 — for θ > 0 they can't be neighbors.
+  const uint64_t t = tx.size();
+  if (t == 0 || (t > max_t_ && stats == nullptr)) {
+    // An empty row shares no item with any cluster, and past max_t_ no
+    // point passes the length bound; only AssignStats needs that scan.
+    if (stats != nullptr) stats->clusters_pruned += num_clusters;
+    return best;
+  }
   Scratch local;
   if (scratch == nullptr) scratch = &local;
-  const size_t num_points = point_cluster_.size();
-  if (scratch->point_stamp.size() != num_points ||
-      scratch->cluster_stamp.size() != num_clusters) {
-    scratch->point_count.assign(num_points, 0);
-    scratch->point_stamp.assign(num_points, 0);
-    scratch->cluster_neighbors.assign(num_clusters, 0);
-    scratch->cluster_stamp.assign(num_clusters, 0);
-    scratch->epoch = 0;
+  const size_t planes = planes_;
+  const size_t stride = planes + 1;
+  if (scratch->counters.size() != words_ * planes) {
+    scratch->counters.assign(words_ * planes, 0);
   }
-  if (++scratch->epoch == 0) {  // epoch wrapped: reset marks once
-    std::fill(scratch->point_stamp.begin(), scratch->point_stamp.end(), 0u);
-    std::fill(scratch->cluster_stamp.begin(), scratch->cluster_stamp.end(),
-              0u);
-    scratch->epoch = 1;
+  const uint64_t* thresholds;
+  if (t <= table_max_t_) {
+    thresholds = threshold_table_.data() + (t - 1) * words_ * stride;
+  } else {
+    scratch->thresholds.resize(words_ * stride);
+    FillThresholds(t, scratch->thresholds.data());
+    thresholds = scratch->thresholds.data();
   }
-  const uint32_t epoch = scratch->epoch;
-  scratch->touched.clear();
+
+  uint64_t* counters = scratch->counters.data();
   for (ItemId item : tx) {
-    if (item >= item_to_points_.size()) continue;
-    for (uint32_t p : item_to_points_[item]) {
-      if (scratch->point_stamp[p] != epoch) {
-        scratch->point_stamp[p] = epoch;
-        scratch->point_count[p] = 1;
-        scratch->touched.push_back(p);
-      } else {
-        ++scratch->point_count[p];
+    const uint32_t col = FindColumn(item);
+    if (col == kNoColumn) continue;
+    for (uint32_t k = column_begin_[col]; k < column_begin_[col + 1]; ++k) {
+      uint64_t* ctr = counters + column_bits_[k].word * planes;
+      uint64_t carry = column_bits_[k].bits;
+      // Counters never exceed max |q| < 2^B, so the carry dies in time.
+      for (size_t b = 0; carry != 0; ++b) {
+        const uint64_t next = ctr[b] & carry;
+        ctr[b] ^= carry;
+        carry = next;
       }
     }
   }
 
-  // Resolve each touched point: Jaccard ≤ min/max of the two sizes, so
-  // points failing that bound are skipped before any division; the rest
-  // get the exact similarity from the intersection count. Both the bound
-  // and count/(|T|+|q|−count) divide the same integers JaccardSimilarity
-  // divides, so no true neighbor is dropped and none is invented.
-  const double t_size = static_cast<double>(tx.size());
-  for (uint32_t p : scratch->touched) {
-    const uint32_t cluster = point_cluster_[p];
-    if (scratch->cluster_stamp[cluster] != epoch) {
-      scratch->cluster_stamp[cluster] = epoch;
-      scratch->cluster_neighbors[cluster] = 0;
-    }
-    const double q_size = static_cast<double>(point_size_[p]);
-    const double lo = std::min(t_size, q_size);
-    const double hi = std::max(t_size, q_size);
-    if (lo / hi < theta_) {  // hi > 0: a touched point shares an item
-      if (stats != nullptr) ++stats->points_skipped_length;
-      continue;
-    }
-    if (stats != nullptr) ++stats->similarities_computed;
-    const uint32_t inter = scratch->point_count[p];
-    const double uni =
-        t_size + q_size - static_cast<double>(inter);
-    if (static_cast<double>(inter) / uni >= theta_) {
-      ++scratch->cluster_neighbors[cluster];
-    }
-  }
-
+  // Per cluster: compare, popcount and re-zero its word range. The stats
+  // split the item-sharing points (nonzero counters) by whether a
+  // threshold exists for them.
   for (size_t c = 0; c < num_clusters; ++c) {
-    if (scratch->cluster_stamp[c] != epoch) {
-      if (stats != nullptr) ++stats->clusters_pruned;
-      continue;
+    const RangeTally tally = g_tally_range(
+        counters, thresholds, planes, cluster_word_[c], cluster_word_[c + 1]);
+    if (stats != nullptr) {
+      ++(tally.sharing > 0 ? stats->clusters_scored : stats->clusters_pruned);
+      stats->similarities_computed += tally.tested;
+      stats->points_skipped_length += tally.sharing - tally.tested;
     }
-    if (stats != nullptr) ++stats->clusters_scored;
-    const uint32_t neighbors = scratch->cluster_neighbors[c];
-    if (neighbors == 0) continue;
-    const double score = static_cast<double>(neighbors) / normalizers_[c];
+    if (tally.neighbors == 0) continue;
+    const double score =
+        static_cast<double>(tally.neighbors) / normalizers_[c];
     if (score > best.score) {
       best.score = score;
-      best.neighbors = neighbors;
+      best.neighbors = tally.neighbors;
       best.cluster = static_cast<ClusterIndex>(c);
     }
   }

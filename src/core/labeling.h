@@ -54,30 +54,32 @@ class TransactionLabeler {
                                           const RockOptions& rock_options,
                                           const LabelingOptions& options);
 
-  /// Per-thread reusable workspace for Assign. The ScanCount pass marks
-  /// labeling points and clusters through epoch-stamped arrays, so nothing
-  /// is cleared between calls; giving each labeling worker its own Scratch
-  /// makes Assign allocation-free (after warm-up) and thread-safe.
+  /// Per-thread reusable workspace for Assign: the bit-sliced counter
+  /// planes and, for a row whose |T| lies past the labeler's cached
+  /// threshold table, that row's threshold planes. Assign leaves the
+  /// counters zeroed, so nothing is cleared between calls; one Scratch may
+  /// serve labelers of different shapes (it is resized on a shape change).
+  /// Giving each labeling worker its own Scratch makes Assign
+  /// allocation-free (after warm-up) and thread-safe.
   struct Scratch {
-    std::vector<uint32_t> point_count;        ///< |T ∩ q| per labeling point
-    std::vector<uint32_t> point_stamp;        ///< epoch marks for point_count
-    std::vector<uint32_t> touched;            ///< points with count > 0
-    std::vector<uint32_t> cluster_neighbors;  ///< N_i(T) per cluster
-    std::vector<uint32_t> cluster_stamp;      ///< epoch marks for clusters
-    uint32_t epoch = 0;
+    std::vector<uint64_t> counters;    ///< B planes per word, interleaved
+    std::vector<uint64_t> thresholds;  ///< B planes + valid mask per word
   };
 
   /// Pruning counters accumulated by Assign. Summed per shard and merged in
   /// shard order by LabelStore, so totals are deterministic.
   struct AssignStats {
-    /// Clusters skipped because they share no item with the transaction.
+    /// Clusters skipped because no labeling point shares an item with the
+    /// transaction.
     uint64_t clusters_pruned = 0;
-    /// Clusters whose labeling set was actually scanned.
+    /// Clusters with at least one item-sharing labeling point.
     uint64_t clusters_scored = 0;
-    /// Item-sharing labeling points skipped by the Jaccard length bound
-    /// min(|T|,|q|)/max(|T|,|q|) < θ without evaluating the similarity.
+    /// Item-sharing labeling points ruled out by the Jaccard length bound
+    /// min(|T|,|q|)/max(|T|,|q|) < θ (no neighbor threshold exists).
     uint64_t points_skipped_length = 0;
-    /// Exact Jaccard evaluations (from ScanCount intersection counts).
+    /// Item-sharing labeling points whose exact intersection count was
+    /// tested against their neighbor threshold (one exact Jaccard test
+    /// each; every point at θ = 0).
     uint64_t similarities_computed = 0;
 
     /// Adds `other`'s counts into this.
@@ -100,14 +102,14 @@ class TransactionLabeler {
 
   /// As above, with an optional reusable `scratch` (nullptr = internal
   /// temporary) and optional pruning-counter accumulation into `stats`.
-  /// Walks the inverted item index once to accumulate exact intersection
-  /// counts for every labeling point sharing an item with `tx` (ScanCount),
-  /// then derives each touched point's Jaccard from its count in O(1) —
-  /// untouched points have similarity 0 and are never visited, and the
-  /// Jaccard length bound min(|T|,|q|)/max(|T|,|q|) < θ skips the rest
-  /// before the division. Every surviving similarity is the same
-  /// `double(|∩|)/double(|∪|)` JaccardSimilarity computes, so the result
-  /// is bit-identical to AssignUnpruned for every input.
+  /// Bit-sliced kernel: ripple-adds the labeling column of each item of
+  /// `tx` into B counter planes, so every labeling point q holds the exact
+  /// |T ∩ q|; compares those counters with the precomputed threshold
+  /// planes m(|T|, |q|) (NeighborThreshold); and popcounts each cluster's
+  /// word range into N_i. A point is a neighbor exactly when
+  /// |T ∩ q| >= m, which is the same `double(|∩|)/double(|∪|) >= θ` test
+  /// JaccardSimilarity makes, so the result is bit-identical to
+  /// AssignUnpruned for every input.
   ClusterIndex Assign(const Transaction& tx, Scratch* scratch,
                       AssignStats* stats) const;
 
@@ -122,6 +124,15 @@ class TransactionLabeler {
   /// point of every cluster, exactly the pre-index engine. Kept as the
   /// oracle for the differential tests and the labeling benchmarks.
   ClusterIndex AssignUnpruned(const Transaction& tx) const;
+
+  /// Least intersection size i <= min(t, q) at which a labeling point of
+  /// size q is a θ-neighbor of a size-t transaction: the least i with
+  /// `double(i) / double(t + q - i) >= theta`, or 0 when none exists —
+  /// exactly when the length bound fl(min(t,q)/max(t,q)) < θ fires (or
+  /// min(t,q) = 0). Requires θ > 0. Sizes below 2^53 convert exactly, and
+  /// IEEE division rounds monotonically, so an intersection count c passes
+  /// the Jaccard test iff c >= NeighborThreshold(θ, t, q) > 0.
+  static uint64_t NeighborThreshold(double theta, uint64_t t, uint64_t q);
 
   /// Number of clusters the labeler can assign to.
   size_t num_clusters() const { return sets_.size(); }
@@ -152,21 +163,52 @@ class TransactionLabeler {
   TransactionLabeler(double theta, double exponent)
       : theta_(theta), f_exponent_(exponent) {}
 
-  /// Builds the inverted point index from sets_ (called by Build and
+  /// Builds the bit-sliced kernel layout from sets_ (called by Build and
   /// FromParts).
   void BuildIndex();
+
+  /// Column of labeling item `item`, or kNoColumn when no labeling point
+  /// holds it.
+  uint32_t FindColumn(ItemId item) const;
+
+  /// Writes the threshold planes for a size-t transaction into `out`
+  /// (words_ × (planes_ + 1) words, interleaved per word).
+  void FillThresholds(uint64_t t, uint64_t* out) const;
+
+  /// One word of a sparse bit column over the flattened labeling points.
+  struct WordBits {
+    uint64_t bits;
+    uint32_t word;
+  };
+  static constexpr uint32_t kNoColumn = UINT32_MAX;
 
   double theta_;
   double f_exponent_;  // f(θ), the normalization exponent
   std::vector<std::vector<Transaction>> sets_;  // L_i per cluster
   std::vector<double> normalizers_;             // (|L_i|+1)^{f(θ)}
-  /// Inverted index over all labeling points (flattened across clusters in
-  /// cluster order): item id → point ids containing the item. One pass over
-  /// a probe's postings yields exact |T ∩ q| for every point sharing an
-  /// item; points sharing none have Jaccard 0, never ≥ θ for θ > 0.
-  std::vector<std::vector<uint32_t>> item_to_points_;
-  std::vector<uint32_t> point_cluster_;  ///< point id → owning cluster
-  std::vector<uint32_t> point_size_;     ///< point id → |q|
+  /// Kernel layout. Labeling points are flattened in cluster order, each
+  /// cluster starting on a fresh 64-bit word: cluster c owns words
+  /// [cluster_word_[c], cluster_word_[c + 1]).
+  std::vector<uint32_t> cluster_word_;
+  size_t words_ = 0;   ///< W, words per plane
+  size_t planes_ = 0;  ///< B = bit_width(max |q|), counter planes
+  /// Distinct labeling items: open-addressing table (slot → column) keyed
+  /// by item id, so memory follows the distinct items, never an id value.
+  std::vector<uint32_t> item_slots_;
+  unsigned slot_shift_ = 64;
+  std::vector<ItemId> column_item_;     ///< column → item id
+  std::vector<uint32_t> column_begin_;  ///< column → first pair (CSR)
+  std::vector<WordBits> column_bits_;   ///< nonzero words of each column
+  /// Points grouped by distinct nonzero size |q|, as sparse bit masks.
+  std::vector<uint64_t> size_value_;
+  std::vector<uint32_t> size_begin_;
+  std::vector<WordBits> size_bits_;
+  /// Threshold planes for 1 <= |T| <= table_max_t_ (capped in bytes);
+  /// rows with table_max_t_ < |T| <= max_t_ fill theirs in Scratch, rows
+  /// past max_t_ have no neighbor.
+  std::vector<uint64_t> threshold_table_;
+  uint64_t table_max_t_ = 0;
+  uint64_t max_t_ = 0;
 };
 
 /// Result of labeling one on-disk store.

@@ -5,7 +5,7 @@
 // transaction?" without re-clustering — the labeling sets L_i, θ, the
 // normalization exponent f(θ), the item dictionary, and the fingerprint of
 // the run that produced them. `rock build` writes one; `rock serve` /
-// `rock query` load it once and answer queries via the §4.6 ScanCount
+// `rock query` load it once and answer queries via the §4.6 bit-sliced
 // labeler.
 //
 // The file is one frame of the shared framing (util/bytes.h), the same as

@@ -215,8 +215,16 @@ Result<std::vector<StoreShardRange>> TransactionStoreReader::PlanShards(
   const uint64_t num_shards = std::min<uint64_t>(max_shards, count);
   // Rows r in [s·count/S, (s+1)·count/S) go to shard s: near-equal ranges
   // whose boundaries we resolve to byte offsets during one header-skipping
-  // scan of the record stream.
+  // scan of the record stream. Each record is a label, an item count n and
+  // n item ids, so the next header sits 8 + 4n bytes on. The scan reads
+  // sequentially through its own window (a seek per record would drop
+  // stdio's buffer every time) and seeks only past payloads that outrun
+  // the window.
+  constexpr size_t kRecordHeader = sizeof(LabelId) + sizeof(uint32_t);
+  std::vector<unsigned char> window(size_t{1} << 16);
   uint64_t offset = static_cast<uint64_t>(h.header_size);
+  uint64_t window_offset = offset;  // file offset of window[0]
+  size_t window_len = 0;
   uint64_t next_shard = 0;
   for (uint64_t row = 0; row < count; ++row) {
     if (row == next_shard * count / num_shards) {
@@ -224,18 +232,32 @@ Result<std::vector<StoreShardRange>> TransactionStoreReader::PlanShards(
       shards.push_back(StoreShardRange{offset, row, end - row});
       ++next_shard;
     }
-    uint32_t n = 0;
-    if (std::fseek(f, static_cast<long>(offset + sizeof(LabelId)),
-                   SEEK_SET) != 0) {
-      return Status::IOError("seek failure planning store shards");
+    const uint64_t window_end = window_offset + window_len;
+    if (offset + kRecordHeader > window_end) {
+      size_t keep = 0;
+      if (offset < window_end) {
+        keep = static_cast<size_t>(window_end - offset);
+        std::memmove(window.data(),
+                     window.data() + (offset - window_offset), keep);
+      } else if (offset > window_end &&
+                 std::fseek(f, static_cast<long>(offset), SEEK_SET) != 0) {
+        return Status::IOError("seek failure planning store shards");
+      }
+      window_offset = offset;
+      window_len =
+          keep + std::fread(window.data() + keep, 1, window.size() - keep, f);
+      if (window_len < kRecordHeader) {
+        return Status::Corruption("short read from transaction store");
+      }
     }
-    ROCK_RETURN_IF_ERROR(ReadRaw(f, &n, sizeof(n)));
+    uint32_t n = 0;
+    std::memcpy(&n, window.data() + (offset - window_offset) + sizeof(LabelId),
+                sizeof(n));
     if (n > kMaxTransactionItems) {
       return Status::Corruption("implausible transaction length " +
                                 std::to_string(n));
     }
-    offset += sizeof(LabelId) + sizeof(uint32_t) +
-              static_cast<uint64_t>(n) * sizeof(ItemId);
+    offset += kRecordHeader + static_cast<uint64_t>(n) * sizeof(ItemId);
   }
   return shards;
 }

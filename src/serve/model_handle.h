@@ -2,7 +2,7 @@
 //
 // The serve-side view of a clustered model. A ModelHandle loads and
 // validates a model bundle (core/model_bundle.h) exactly once, reassembles
-// the §4.6 ScanCount labeler from its parts, and turns query text into
+// the §4.6 labeler from its parts, and turns query text into
 // transactions against the bundle's dictionary. Everything in the handle is
 // immutable after Load, so any number of server workers can share one
 // handle without locks.

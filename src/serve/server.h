@@ -6,7 +6,7 @@
 //
 //   client → Submit(tx) → bounded request queue → worker batches
 //                                                   (≤ max_batch pops)
-//                                                 → ScanCount Assign
+//                                                 → bit-sliced Assign
 //                                                 → future resolves
 //
 // Workers coalesce whatever is queued into blocks of up to `max_batch`
