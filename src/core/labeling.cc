@@ -165,32 +165,6 @@ const TallyRangeFn g_tally_range = ResolveTallyRange();
 
 }  // namespace
 
-uint64_t TransactionLabeler::NeighborThreshold(double theta, uint64_t t,
-                                               uint64_t q) {
-  const uint64_t lo = std::min(t, q);
-  if (lo == 0) return 0;
-  const auto passes = [&](uint64_t i) {
-    return static_cast<double>(i) / static_cast<double>(t + q - i) >= theta;
-  };
-  // At i = min(t, q) the predicate is the length bound min/max >= θ; the
-  // predicate only grows with i, so failing there means no i passes.
-  if (!passes(lo)) return 0;
-  // i/(t+q-i) >= θ  ⇔  i >= θ(t+q)/(1+θ): start from that closed form and
-  // step to the exact least passing i under the same double predicate.
-  const double guess = std::ceil(theta * static_cast<double>(t + q) /
-                                 (1.0 + theta));
-  uint64_t i = guess <= 1.0 ? 1
-               : guess >= static_cast<double>(lo)
-                   ? lo
-                   : static_cast<uint64_t>(guess);
-  if (passes(i)) {
-    while (i > 1 && passes(i - 1)) --i;
-  } else {
-    while (!passes(i)) ++i;
-  }
-  return i;
-}
-
 void TransactionLabeler::BuildIndex() {
   // Flatten L in cluster order, each cluster from a fresh word, and record
   // every (item, point) and (|q|, point) posting by bit position.

@@ -105,11 +105,11 @@ class TransactionLabeler {
   /// Bit-sliced kernel: ripple-adds the labeling column of each item of
   /// `tx` into B counter planes, so every labeling point q holds the exact
   /// |T ∩ q|; compares those counters with the precomputed threshold
-  /// planes m(|T|, |q|) (NeighborThreshold); and popcounts each cluster's
-  /// word range into N_i. A point is a neighbor exactly when
-  /// |T ∩ q| >= m, which is the same `double(|∩|)/double(|∪|) >= θ` test
-  /// JaccardSimilarity makes, so the result is bit-identical to
-  /// AssignUnpruned for every input.
+  /// planes m(|T|, |q|) (NeighborThreshold in similarity/jaccard.h); and
+  /// popcounts each cluster's word range into N_i. A point is a neighbor
+  /// exactly when |T ∩ q| >= m, which is the same
+  /// `double(|∩|)/double(|∪|) >= θ` test JaccardSimilarity makes, so the
+  /// result is bit-identical to AssignUnpruned for every input.
   ClusterIndex Assign(const Transaction& tx, Scratch* scratch,
                       AssignStats* stats) const;
 
@@ -124,15 +124,6 @@ class TransactionLabeler {
   /// point of every cluster, exactly the pre-index engine. Kept as the
   /// oracle for the differential tests and the labeling benchmarks.
   ClusterIndex AssignUnpruned(const Transaction& tx) const;
-
-  /// Least intersection size i <= min(t, q) at which a labeling point of
-  /// size q is a θ-neighbor of a size-t transaction: the least i with
-  /// `double(i) / double(t + q - i) >= theta`, or 0 when none exists —
-  /// exactly when the length bound fl(min(t,q)/max(t,q)) < θ fires (or
-  /// min(t,q) = 0). Requires θ > 0. Sizes below 2^53 convert exactly, and
-  /// IEEE division rounds monotonically, so an intersection count c passes
-  /// the Jaccard test iff c >= NeighborThreshold(θ, t, q) > 0.
-  static uint64_t NeighborThreshold(double theta, uint64_t t, uint64_t q);
 
   /// Number of clusters the labeler can assign to.
   size_t num_clusters() const { return sets_.size(); }

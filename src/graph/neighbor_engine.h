@@ -1,25 +1,29 @@
 // librock — graph/neighbor_engine.h
 //
-// θ-pruned packed neighbor-graph engine. The scalar engines in neighbors.h /
-// parallel.h evaluate all n²/2 pairs through a virtual per-pair call; this
-// engine consumes a similarity's BatchSimilarity (similarity/batch.h) and
-// cuts the work two independent ways while staying bit-identical to the
-// scalar oracle at any thread count:
+// θ-thresholded packed neighbor-graph engine. The scalar engines in
+// neighbors.h / parallel.h evaluate all n²/2 pairs through a virtual
+// per-pair call; this engine consumes a similarity's BatchSimilarity
+// (similarity/batch.h) through one of two exact passes, staying
+// bit-identical to the scalar oracle at any thread count:
 //
-//   * window pruning — points sorted by set size; a pair (i, j) with sizes
-//     s_min ≤ s_max can only reach sim ≥ θ when s_min/s_max ≥ θ (the §3.1
-//     Jaccard length bound θ·|T_i| ≤ |T_j| ≤ |T_i|/θ, same bound the
-//     labeler uses), so each point only scans a contiguous size window.
-//     Surviving pairs are evaluated via the packed popcount kernel.
+//   * dense sweep — for set-Jaccard batches (prune_sizes() non-null) at
+//     θ > 0, every pair in id order: popcount(row_i AND row_j) over the
+//     packed item plane, kept iff it reaches the integer threshold
+//     m(|T_i|, |T_j|) = NeighborThreshold(θ, ·, ·) read from a table (the
+//     double division disappears from the hot loop). Pairs with m = 0 are
+//     the ones the §3.1 Jaccard length bound rules out. θ = 0 and
+//     pairwise-missing batches take the same id-order walk through
+//     SimilarityBatch instead.
 //   * inverted-index candidates — for θ > 0, sim(i, j) > 0 requires a
 //     shared item, so a ScanCount pass over per-item postings enumerates
 //     exactly the pairs with nonzero intersection; for plain set-Jaccard
 //     the intersection count already determines the similarity.
 //
-// Both prunes are exact (see similarity/batch.h for the rounding argument),
-// so the output NeighborGraph equals ComputeNeighbors(sim, theta) bit for
-// bit. Pruning effectiveness is reported through the metrics registry:
-// neighbors.pairs_evaluated + neighbors.pairs_pruned == n(n−1)/2 always.
+// Every pass emits each row's partners j > i in ascending order into one
+// buffer per row chunk, so the adjacency rows assemble already sorted and
+// identical at any thread count. Work is reported through the metrics
+// registry: neighbors.pairs_evaluated + neighbors.pairs_pruned == n(n−1)/2
+// always.
 //
 // A third, sub-quadratic pass exists for scale (paper §4.5's O(n²) wall):
 //
@@ -49,34 +53,37 @@ class MetricsRegistry;
 
 namespace rock {
 
-/// Which pruning pass the packed engine runs.
+/// Which pass the packed engine runs.
 enum class PackedStrategy {
-  /// Pick per dataset: candidates when the estimated postings-scan work
-  /// undercuts the windowed popcount sweep, window otherwise. With
+  /// Pick per dataset: candidates when the estimated postings-scan time
+  /// undercuts the dense sweep's, the dense sweep otherwise. With
   /// PackedNeighborOptions::allow_lsh the cost model may also pick the
   /// LSH pass when the exact passes' estimated work dwarfs the signature
   /// build (see kLshAutoFactor).
   kAuto,
-  /// Size-sorted window + popcount sweep (always available).
+  /// Id-order sweep over every pair (always available): the dense
+  /// AND-popcount sweep for set-Jaccard at θ > 0, SimilarityBatch
+  /// otherwise.
   kWindow,
   /// Inverted-index ScanCount candidates (requires θ > 0 and an item view;
-  /// silently degrades to the window pass otherwise).
+  /// silently degrades to kWindow otherwise).
   kCandidates,
   /// MinHash LSH banding candidates + exact θ-verification (requires θ > 0
-  /// and an item view; silently degrades to the window pass otherwise).
+  /// and an item view; silently degrades to kWindow otherwise).
   /// Approximate: precision 1, recall ≈ LshCollisionProbability(θ).
   kLsh,
 };
 
 /// kAuto picks the LSH pass (when allowed) only if the cheapest exact
-/// pass's estimated op count exceeds this multiple of the LSH estimate
-/// (signature build + banding + expected dedup/verification mass, the
-/// latter integrated over a deterministic similarity sample — n, density
-/// and θ all enter). The margin makes the trade deliberately lopsided:
-/// exactness is only given up when the model predicts a multiple-of-
-/// kLshAutoFactor win, which on inverted-index-friendly data (small
-/// universes, e.g. the Fig. 5 workload) means never — ScanCount already
-/// enumerates only the non-zero pairs there. LSH takes over on wide
+/// pass's estimated op count (min of pairs × words and Σ_item C(df, 2))
+/// exceeds this multiple of the LSH estimate (signature build + banding +
+/// expected dedup/verification mass, the latter integrated over a
+/// deterministic similarity sample — n, density and θ all enter). The
+/// margin makes the trade deliberately lopsided: exactness is only given
+/// up when the model predicts a multiple-of-kLshAutoFactor win, which on
+/// inverted-index-friendly data (small universes, e.g. the Fig. 5
+/// workload) means never — ScanCount already enumerates only the non-zero
+/// pairs there. LSH takes over on wide
 /// universes with heavy-hitter items, where Σ_item C(df, 2) explodes but
 /// pairwise similarities stay low (bench_graph_scale measures both
 /// regimes).
@@ -103,7 +110,9 @@ struct PackedNeighborOptions {
   /// neighbors.pairs_pruned, neighbors.candidate_pass,
   /// neighbors.fallback_scalar, neighbors.lsh_pass,
   /// neighbors.lsh_candidates, neighbors.lsh_skipped_empty, graph.threads,
-  /// stage.neighbors.pack.
+  /// the decision.neighbors.* inputs of a kAuto choice, and the timers
+  /// stage.neighbors.pack, stage.neighbors.sweep and
+  /// stage.neighbors.assemble.
   diag::MetricsRegistry* metrics = nullptr;
 };
 

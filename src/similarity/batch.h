@@ -9,7 +9,10 @@
 //   * per-row set sizes for the exact Jaccard length bound
 //     fl(min(sᵢ,sⱼ)/max(sᵢ,sⱼ)) < θ  ⟹  fl(sim(i,j)) < θ, and
 //   * a sparse item view for inverted-index candidate generation
-//     (sim(i,j) > 0 only when rows i and j share an item).
+//     (sim(i,j) > 0 only when rows i and j share an item), and
+//   * for set-Jaccard, the packed item plane itself, so an exact sweep can
+//     compare an AND-popcount count against an integer threshold
+//     (NeighborThreshold in similarity/jaccard.h) instead of dividing.
 //
 // Both prunes are exact — monotone IEEE rounding means the double-valued
 // bound can never discard a pair the double-valued similarity would keep —
@@ -62,6 +65,14 @@ class BatchSimilarity {
   /// computed in double, so engines may derive it from an intersection
   /// count, and fl(min(s_i,s_j)/max(s_i,s_j)) < θ implies fl(sim) < θ.
   virtual const std::vector<uint32_t>* prune_sizes() const { return nullptr; }
+
+  /// Row-major bit plane of items() (bit k of word w of row r is set iff
+  /// item 64w + k is in row r), words_per_row() words per row. Valid
+  /// whenever prune_sizes() is non-null, so set-Jaccard engines can count
+  /// intersections with an AND + popcount; nullptr otherwise (and may be
+  /// null for n = 0 or an empty universe).
+  virtual const uint64_t* item_plane() const { return nullptr; }
+  virtual size_t words_per_row() const { return 0; }
 
   /// Sparse item view for inverted-index candidate generation, or nullptr.
   /// Contract when non-null: sim(i, j) == 0 whenever rows i and j share no

@@ -21,6 +21,38 @@ namespace rock {
 /// sim(T1, T2) = |T1 ∩ T2| / |T1 ∪ T2|; two empty transactions get 0.
 double JaccardSimilarity(const Transaction& a, const Transaction& b);
 
+/// Least intersection size i <= min(t, q) at which sets of sizes t and q
+/// are θ-neighbors: the least i with `double(i) / double(t + q - i) >=
+/// theta`, or 0 when none exists — exactly when the length bound
+/// fl(min(t,q)/max(t,q)) < θ fires (or min(t,q) = 0). Requires θ > 0.
+/// Sizes below 2^53 convert exactly, and IEEE division rounds
+/// monotonically, so an intersection count c passes the Jaccard test iff
+/// c >= NeighborThreshold(θ, t, q) > 0.
+uint64_t NeighborThreshold(double theta, uint64_t t, uint64_t q);
+
+/// NeighborThreshold(θ, t, q) for every 0 <= t, q <= max_size(), one 16-bit
+/// entry per size pair, row-major. The side follows the largest set size
+/// but stops at kMaxSize (a 512 KiB table), so callers must test a pair
+/// with a larger size through NeighborThreshold or the double predicate.
+class NeighborThresholdTable {
+ public:
+  static constexpr uint64_t kMaxSize = 511;
+
+  /// Tabulates sizes 0 .. min(largest_size, kMaxSize). Requires θ > 0.
+  NeighborThresholdTable(double theta, uint64_t largest_size);
+
+  /// Largest tabulated size.
+  uint64_t max_size() const { return side_ - 1; }
+  /// Entries m(t, 0 .. max_size()); requires t <= max_size().
+  const uint16_t* row(uint64_t t) const {
+    return entries_.data() + t * side_;
+  }
+
+ private:
+  size_t side_;
+  std::vector<uint16_t> entries_;
+};
+
 /// Jaccard over a transaction dataset (market-basket data).
 class TransactionJaccard final : public PointSimilarity {
  public:

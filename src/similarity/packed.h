@@ -69,8 +69,10 @@ class PackedJaccard final : public BatchSimilarity {
   /// Sorted per-row item ids (all kinds: sim == 0 without a shared item).
   const SparseItemView* items() const override { return &items_; }
 
-  /// Words per row of the item plane (tests/metrics).
-  size_t words_per_row() const { return words_; }
+  const uint64_t* item_plane() const override {
+    return pairwise_missing_ ? nullptr : bits_.data();
+  }
+  size_t words_per_row() const override { return words_; }
 
  private:
   PackedJaccard() = default;

@@ -396,8 +396,9 @@ TEST_F(CliTest, MetricsJsonGoldenSchema) {
   EXPECT_NE(json.find("\"stages\": [\"criterion\", \"links\", "
                       "\"links.pack\", \"merge\", "
                       "\"merge.heap\", \"merge.relink\", "
-                      "\"neighbors\", "
-                      "\"neighbors.pack\", \"total\"]"),
+                      "\"neighbors\", \"neighbors.assemble\", "
+                      "\"neighbors.pack\", \"neighbors.sweep\", "
+                      "\"total\"]"),
             std::string::npos)
       << json;
   EXPECT_NE(json.find("\"tool\": \"cluster\""), std::string::npos);
@@ -414,6 +415,7 @@ TEST_F(CliTest, MetricsJsonGoldenSchema) {
       "stage.merge.heap",
       "stage.merge.relink",
       "stage.neighbors", "stage.neighbors.pack",
+      "stage.neighbors.sweep", "stage.neighbors.assemble",
       "stage.total",
       "neighbors.pairs_evaluated",
       "neighbors.pairs_pruned",
@@ -443,6 +445,11 @@ TEST_F(CliTest, MetricsJsonGoldenSchema) {
       "weed.clusters",   "weed.points",
       "graph.average_degree",
       "criterion.value",
+      "decision.neighbors.n",
+      "decision.neighbors.words_per_row",
+      "decision.neighbors.dense_cost_s",
+      "decision.neighbors.scan_cost_s",
+      "decision.neighbors.pass",
   };
   EXPECT_EQ(JsonKeys(json), expected);
 }

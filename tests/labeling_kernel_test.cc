@@ -49,7 +49,7 @@ TEST(LabelerKernelTest, ThresholdMatchesLinearScanExhaustively) {
   for (double theta : thetas) {
     for (uint64_t t = 0; t <= 300; ++t) {
       for (uint64_t q = 0; q <= 300; ++q) {
-        const uint64_t m = TransactionLabeler::NeighborThreshold(theta, t, q);
+        const uint64_t m = NeighborThreshold(theta, t, q);
         ASSERT_EQ(m, LinearThreshold(theta, t, q))
             << "theta=" << theta << " t=" << t << " q=" << q;
         if (t == 0 && q == 0) continue;  // 0/0: no bound to compare with

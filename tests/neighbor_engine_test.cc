@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -299,6 +301,239 @@ TEST(NeighborEngineTest, CandidatePassCounterFires) {
   options.metrics = &metrics0;
   ASSERT_TRUE(ComputeNeighborsPacked(sim, 0.0, options).ok());
   EXPECT_EQ(metrics0.Snapshot().CounterOr("neighbors.candidate_pass"), 0u);
+}
+
+// ------------------------------------------------------------ dense sweep --
+
+// The θ grid of the dense-sweep tests: both sides of the 1/2 rounding
+// boundary, a tiny θ whose thresholds are all 1, and θ = 1.
+std::vector<double> SweepThetas() {
+  return {1e-6, 0.2, 1.0 / 3.0, 0.5, std::nextafter(0.5, 0.0),
+          std::nextafter(0.5, 1.0), 0.73, 0.8, 1.0};
+}
+
+// Pairs the length bound lets through: fl(min/max) >= θ with max > 0 —
+// the window count the dense sweep must report as pairs_evaluated.
+uint64_t LengthBoundPairs(const std::vector<uint32_t>& sizes, double theta) {
+  uint64_t pairs = 0;
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    for (size_t j = i + 1; j < sizes.size(); ++j) {
+      const uint32_t lo = std::min(sizes[i], sizes[j]);
+      const uint32_t hi = std::max(sizes[i], sizes[j]);
+      if (hi > 0 &&
+          static_cast<double>(lo) / static_cast<double>(hi) >= theta) {
+        ++pairs;
+      }
+    }
+  }
+  return pairs;
+}
+
+// Near-duplicate baskets over items [0, universe): perturbed copies of a
+// few base sets (so every θ sees edges), two empty rows, an identical
+// pair, and a row holding item universe − 1 so the plane has exactly
+// ⌈universe / 64⌉ words.
+TransactionDataset UniverseBaskets(uint32_t universe, Rng* rng) {
+  std::vector<std::vector<ItemId>> bases;
+  for (int b = 0; b < 5; ++b) {
+    const size_t size =
+        1 + static_cast<size_t>(rng->UniformUint64(std::min(universe, 40u)));
+    std::vector<ItemId> items;
+    for (size_t k = 0; k < size; ++k) {
+      items.push_back(static_cast<ItemId>(rng->UniformUint64(universe)));
+    }
+    bases.push_back(std::move(items));
+  }
+  TransactionDataset dataset;
+  dataset.AddTransaction(Transaction{});
+  for (int r = 0; r < 60; ++r) {
+    if (r == 30) dataset.AddTransaction(Transaction{});
+    std::vector<ItemId> items = bases[rng->UniformUint64(bases.size())];
+    if (rng->UniformUint64(2) == 0 && items.size() > 1) items.pop_back();
+    if (rng->UniformUint64(3) == 0) {
+      items.push_back(static_cast<ItemId>(rng->UniformUint64(universe)));
+    }
+    dataset.AddTransaction(Transaction(std::move(items)));
+  }
+  dataset.AddTransaction(dataset.transaction(5));
+  dataset.AddTransaction(Transaction{universe - 1});
+  return dataset;
+}
+
+// Runs the engine with `strategy` at threads {1, 2, 3, 4, 8} and checks
+// each graph against the scalar oracle, byte for byte, and the pair
+// accounting against the length-bound count. Returns the oracle's edges.
+size_t ExpectSweepMatchesOracle(const PointSimilarity& sim, double theta,
+                                PackedStrategy strategy) {
+  const auto oracle = ComputeNeighbors(sim, theta);
+  EXPECT_TRUE(oracle.ok());
+  const auto batch = sim.MakeBatch();
+  EXPECT_NE(batch, nullptr);
+  EXPECT_NE(batch->prune_sizes(), nullptr);
+  if (!oracle.ok() || batch == nullptr || batch->prune_sizes() == nullptr) {
+    return 0;
+  }
+  const uint64_t window = LengthBoundPairs(*batch->prune_sizes(), theta);
+  const uint64_t n = sim.size();
+  for (const size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << "theta=" << theta
+                                      << " threads=" << threads);
+    diag::MetricsRegistry metrics;
+    PackedNeighborOptions options;
+    options.num_threads = threads;
+    options.row_chunk = 5;
+    options.strategy = strategy;
+    options.metrics = &metrics;
+    const auto packed = ComputeNeighborsPacked(sim, theta, options);
+    EXPECT_TRUE(packed.ok());
+    if (!packed.ok()) return 0;
+    EXPECT_EQ(packed->nbrlist, oracle->nbrlist);
+    const auto snap = metrics.Snapshot();
+    EXPECT_EQ(snap.CounterOr("neighbors.candidate_pass"), 0u);
+    EXPECT_EQ(snap.CounterOr("neighbors.pairs_evaluated"), window);
+    EXPECT_EQ(snap.CounterOr("neighbors.pairs_evaluated") +
+                  snap.CounterOr("neighbors.pairs_pruned"),
+              n * (n - 1) / 2);
+    EXPECT_NE(snap.FindTimer("stage.neighbors.sweep"), nullptr);
+    EXPECT_NE(snap.FindTimer("stage.neighbors.assemble"), nullptr);
+  }
+  return oracle->NumEdges();
+}
+
+TEST(DenseSweepTest, MatchesOracleAcrossUniversesAndThetas) {
+  // 1–64 items run the 1-word kernel, 65–128 the 2-word one, 129 the
+  // 3-word one and 300 (5 words) the generic loop.
+  for (const uint32_t universe : {1u, 63u, 64u, 65u, 128u, 129u, 300u}) {
+    ROCK_SEEDED_RNG(rng, 900 + universe);
+    const TransactionDataset dataset = UniverseBaskets(universe, &rng);
+    const TransactionJaccard sim(dataset);
+    const auto batch = sim.MakeBatch();
+    ASSERT_NE(batch, nullptr);
+    ASSERT_EQ(batch->words_per_row(), (universe + 63) / 64);
+    ASSERT_NE(batch->item_plane(), nullptr);
+    for (const double theta : SweepThetas()) {
+      SCOPED_TRACE(::testing::Message() << "universe=" << universe);
+      // The identical pair is an edge at every θ.
+      EXPECT_GT(ExpectSweepMatchesOracle(sim, theta, PackedStrategy::kWindow),
+                0u);
+    }
+  }
+}
+
+TEST(DenseSweepTest, EmptyAndIdenticalRows) {
+  // Two empty rows share nothing and score 0: no edge at any θ > 0.
+  TransactionDataset empties;
+  empties.AddTransaction(Transaction{});
+  empties.AddTransaction(Transaction{});
+  empties.AddTransaction(Transaction{3});
+  for (const double theta : SweepThetas()) {
+    ExpectSweepMatchesOracle(TransactionJaccard(empties), theta,
+                             PackedStrategy::kWindow);
+    const auto graph = ComputeNeighborsPacked(TransactionJaccard(empties),
+                                              theta);
+    ASSERT_TRUE(graph.ok());
+    EXPECT_EQ(graph->NumEdges(), 0u);
+  }
+  // Identical rows are neighbors even at θ = 1.
+  TransactionDataset same;
+  for (int r = 0; r < 7; ++r) same.AddTransaction(Transaction{2, 70, 140});
+  const auto graph = ComputeNeighborsPacked(TransactionJaccard(same), 1.0);
+  ASSERT_TRUE(graph.ok());
+  EXPECT_EQ(graph->NumEdges(), 21u);
+  ExpectSweepMatchesOracle(TransactionJaccard(same), 1.0,
+                           PackedStrategy::kWindow);
+}
+
+TEST(DenseSweepTest, CategoricalWithMissingValues) {
+  for (const uint64_t seed : {61u, 62u}) {
+    ROCK_SEEDED_RNG(rng, seed);
+    // Domain 3 over 14 attributes: similarities spread over the whole
+    // θ grid, and 20% missing cells vary the record sizes.
+    const CategoricalDataset dataset = RandomRecords(70, 14, 3, 200, &rng);
+    const CategoricalJaccard sim(dataset);
+    for (const double theta : SweepThetas()) {
+      ExpectSweepMatchesOracle(sim, theta, PackedStrategy::kWindow);
+      ExpectSweepMatchesOracle(sim, theta, PackedStrategy::kAuto);
+    }
+  }
+}
+
+TEST(DenseSweepTest, RowsPastTheThresholdTable) {
+  // Rows of 511 (the last tabulated size), 512 and up to 620 items next to
+  // small rows drawn from the same pool: big-big, big-small and small-small
+  // pairs all reach the grid's thresholds, through both the table and the
+  // exact predicate.
+  ROCK_SEEDED_RNG(rng, 77);
+  std::vector<ItemId> pool(700);
+  std::iota(pool.begin(), pool.end(), ItemId{0});
+  for (size_t k = pool.size(); k > 1; --k) {
+    std::swap(pool[k - 1], pool[rng.UniformUint64(k)]);
+  }
+  const auto prefix = [&](size_t size) {
+    return Transaction(std::vector<ItemId>(pool.begin(), pool.begin() +
+                                           static_cast<ptrdiff_t>(size)));
+  };
+  TransactionDataset dataset;
+  for (const size_t size : {3u, 560u, 511u, 0u, 512u, 40u, 620u, 511u, 1u,
+                            600u, 25u, 510u, 560u}) {
+    dataset.AddTransaction(prefix(size));
+  }
+  for (int r = 0; r < 20; ++r) {
+    std::vector<ItemId> items;
+    const size_t size = 1 + rng.UniformUint64(30);
+    for (size_t k = 0; k < size; ++k) {
+      items.push_back(pool[rng.UniformUint64(pool.size())]);
+    }
+    dataset.AddTransaction(Transaction(std::move(items)));
+  }
+  const TransactionJaccard sim(dataset);
+  for (const double theta : SweepThetas()) {
+    ExpectSweepMatchesOracle(sim, theta, PackedStrategy::kWindow);
+  }
+  // Edges that only the exact predicate can keep: 511 ~ 512 (one size in
+  // the table, one past it) and 560 ~ 600 (both past it).
+  const auto graph = ComputeNeighborsPacked(sim, 0.9);
+  ASSERT_TRUE(graph.ok());
+  EXPECT_TRUE(graph->AreNeighbors(2, 4));
+  EXPECT_TRUE(graph->AreNeighbors(1, 9));
+}
+
+TEST(DenseSweepTest, ThresholdTableEqualsNeighborThreshold) {
+  for (const double theta : SweepThetas()) {
+    for (const uint64_t largest : {0u, 1u, 7u, 64u, 300u, 100000u}) {
+      const NeighborThresholdTable table(theta, largest);
+      ASSERT_EQ(table.max_size(),
+                std::min(largest, NeighborThresholdTable::kMaxSize));
+      for (uint64_t t = 0; t <= table.max_size(); ++t) {
+        for (uint64_t q = 0; q <= table.max_size(); ++q) {
+          ASSERT_EQ(table.row(t)[q], NeighborThreshold(theta, t, q))
+              << "theta=" << theta << " t=" << t << " q=" << q;
+        }
+      }
+    }
+  }
+}
+
+TEST(DenseSweepTest, AutoRecordsItsDecisionInputs) {
+  ROCK_SEEDED_RNG(rng, 83);
+  const TransactionDataset dataset = UniverseBaskets(129, &rng);
+  const TransactionJaccard sim(dataset);
+  diag::MetricsRegistry metrics;
+  PackedNeighborOptions options;
+  options.metrics = &metrics;
+  ASSERT_TRUE(ComputeNeighborsPacked(sim, 0.5, options).ok());
+  const auto snap = metrics.Snapshot();
+  EXPECT_EQ(snap.GaugeOr("decision.neighbors.n"),
+            static_cast<double>(dataset.size()));
+  EXPECT_EQ(snap.GaugeOr("decision.neighbors.words_per_row"), 3.0);
+  const double dense = snap.GaugeOr("decision.neighbors.dense_cost_s", -1);
+  const double scan = snap.GaugeOr("decision.neighbors.scan_cost_s", -1);
+  EXPECT_GT(dense, 0.0);
+  EXPECT_GT(scan, 0.0);
+  EXPECT_EQ(snap.GaugeOr("decision.neighbors.pass", -1),
+            scan < dense ? 1.0 : 0.0);
+  EXPECT_EQ(snap.CounterOr("neighbors.candidate_pass"),
+            scan < dense ? 1u : 0u);
 }
 
 // ---------------------------------------------------------------- LSH pass --

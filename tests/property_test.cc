@@ -11,9 +11,11 @@
 #include "common/random.h"
 #include "core/criterion.h"
 #include "core/rock.h"
+#include "graph/neighbor_engine.h"
 #include "graph/parallel.h"
 #include "similarity/jaccard.h"
 #include "synth/basket_generator.h"
+#include "synth/mushroom_generator.h"
 #include "test_support.h"
 
 namespace rock {
@@ -235,6 +237,102 @@ TEST(NeighborMonotonicityTest, HigherThetaYieldsSubgraph) {
     }
     prev = std::move(next);
   }
+}
+
+// Metamorphic property: Jaccard sees only which items two rows share, so
+// relabeling item ids — which moves bits within and across the packed
+// plane's words — must leave the neighbor graph and the whole clustering
+// unchanged. Checked on a Table-5-shaped basket sample and a
+// mushroom-shaped categorical set.
+
+// Runs the default engines on both similarities and compares the neighbor
+// graphs and the full assignments.
+void ExpectSameGraphAndClustering(const PointSimilarity& a,
+                                  const PointSimilarity& b, double theta,
+                                  size_t k) {
+  const auto ga = ComputeNeighborsPacked(a, theta);
+  const auto gb = ComputeNeighborsPacked(b, theta);
+  ASSERT_TRUE(ga.ok());
+  ASSERT_TRUE(gb.ok());
+  ASSERT_GT(ga->NumEdges(), 0u);
+  EXPECT_EQ(ga->nbrlist, gb->nbrlist);
+  RockOptions opt;
+  opt.theta = theta;
+  opt.num_clusters = k;
+  const auto ra = RockClusterer(opt).Cluster(a);
+  const auto rb = RockClusterer(opt).Cluster(b);
+  ASSERT_TRUE(ra.ok());
+  ASSERT_TRUE(rb.ok());
+  EXPECT_EQ(ra->clustering.assignment, rb->clustering.assignment);
+  EXPECT_EQ(ra->merges.size(), rb->merges.size());
+}
+
+TEST(ItemPermutationTest, BasketGraphAndClusteringUnchanged) {
+  BasketGeneratorOptions gen;  // Table 5 shape at 1%: ~1,150 rows
+  for (size_t& size : gen.cluster_sizes) size /= 100;
+  gen.num_outliers /= 100;
+  gen.seed = 5;
+  const TransactionDataset ds = std::move(GenerateBasketData(gen)).value();
+  ItemId universe = 0;
+  for (const Transaction& tx : ds.transactions()) {
+    if (!tx.empty()) universe = std::max(universe, tx.items().back() + 1);
+  }
+  // A permutation of [0, universe), and an injective spread into
+  // [0, 5·universe) that also widens the plane past four words.
+  for (const ItemId span : {universe, 5 * universe}) {
+    SCOPED_TRACE(::testing::Message() << "span = " << span);
+    ROCK_SEEDED_RNG(rng, 40 + span);
+    std::vector<ItemId> relabel(span);
+    std::iota(relabel.begin(), relabel.end(), ItemId{0});
+    rng.Shuffle(relabel);
+    TransactionDataset permuted;
+    for (const Transaction& tx : ds.transactions()) {
+      std::vector<ItemId> items;
+      for (const ItemId item : tx) items.push_back(relabel[item]);
+      permuted.AddTransaction(Transaction(std::move(items)));
+    }
+    ExpectSameGraphAndClustering(TransactionJaccard(ds),
+                                 TransactionJaccard(permuted), 0.5, 10);
+  }
+}
+
+TEST(ItemPermutationTest, CategoricalGraphAndClusteringUnchanged) {
+  MushroomGeneratorOptions gen;  // ~1,220 records × 22 attributes
+  gen.size_scale = 0.15;
+  gen.missing_rate = 0.02;
+  gen.seed = 6;
+  const CategoricalDataset ds = std::move(GenerateMushroomData(gen)).value();
+  const size_t d = ds.schema().num_attributes();
+  // Shuffle the attribute order and, within each attribute, the value ids.
+  ROCK_SEEDED_RNG(rng, 66);
+  std::vector<size_t> attr(d);
+  std::iota(attr.begin(), attr.end(), size_t{0});
+  rng.Shuffle(attr);
+  std::vector<std::vector<ValueId>> relabel(d);
+  for (size_t a = 0; a < d; ++a) {
+    ValueId width = 0;
+    for (const Record& r : ds.records()) {
+      if (!r.IsMissing(a)) width = std::max(width, r.value(a) + 1);
+    }
+    relabel[a].resize(width);
+    std::iota(relabel[a].begin(), relabel[a].end(), ValueId{0});
+    rng.Shuffle(relabel[a]);
+  }
+  std::vector<std::string> names;
+  for (size_t a = 0; a < d; ++a) {
+    names.push_back(ds.schema().attribute_name(attr[a]));
+  }
+  CategoricalDataset permuted{Schema(names)};
+  for (const Record& r : ds.records()) {
+    std::vector<ValueId> values(d, kMissingValue);
+    for (size_t a = 0; a < d; ++a) {
+      const size_t from = attr[a];
+      if (!r.IsMissing(from)) values[a] = relabel[from][r.value(from)];
+    }
+    ASSERT_TRUE(permuted.AddRecord(Record(std::move(values))).ok());
+  }
+  ExpectSameGraphAndClustering(CategoricalJaccard(ds),
+                               CategoricalJaccard(permuted), 0.8, 20);
 }
 
 }  // namespace
