@@ -8,39 +8,70 @@
 // computation cheaper.
 //
 // Usage: bench_fig5_scalability [scale] [--compare-engines] [--threads=N]
+//                               [--reps=R]
 //   scale             — multiplies the generated database size (default 1.0)
-//   --compare-engines — run every cell under both merge engines (the
-//                       default `parallel` engine and the hashed
-//                       reference) and report the hashed/parallel
-//                       stage.merge speedup
+//   --compare-engines — also run every cell through the hashed reference
+//                       merge engine (internal::RunHashedMergeEngine over
+//                       the same neighbor graph) and report the
+//                       hashed/parallel stage.merge speedup
 //   --threads=N       — worker threads for the graph phases (neighbor +
 //                       link engines). Used by EXPERIMENTS.md's multi-core
 //                       stage table.
+//   --reps=R          — runs per cell and engine; each keeps the run with
+//                       the smallest stage.merge (default 1)
 //
-// The headline table times the parallel engine (the default).
+// The headline table times RockClusterer::Cluster (the `parallel` merge
+// engine, the only production path).
 //
 // Every run appends to the machine-readable perf trajectory
 // (BENCH_rock.json, or $ROCK_BENCH_JSON; schema in docs/OBSERVABILITY.md).
 // CI's perf-smoke job runs this binary at a small scale with
 // --compare-engines and gates on the hashed/parallel stage.merge ratio.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/timer.h"
+#include "core/merge_engine.h"
 #include "core/rock.h"
 #include "core/sampling.h"
+#include "graph/neighbor_engine.h"
 #include "similarity/jaccard.h"
 #include "synth/basket_generator.h"
 
 namespace {
 
-const char* EngineName(rock::MergeEngineKind kind) {
-  return kind == rock::MergeEngineKind::kParallel ? "parallel" : "hashed";
+enum class Engine { kParallel, kHashed };
+
+const char* EngineName(Engine engine) {
+  return engine == Engine::kParallel ? "parallel" : "hashed";
+}
+
+/// One clustering of `sim`: RockClusterer::Cluster for the production
+/// engine; for the hashed reference, the same packed neighbor graph fed to
+/// internal::RunHashedMergeEngine, whose metrics then gain the same
+/// stage.neighbors timer.
+rock::Result<rock::RockResult> RunCell(const rock::PointSimilarity& sim,
+                                       const rock::RockOptions& opt,
+                                       Engine engine) {
+  using namespace rock;
+  if (engine == Engine::kParallel) return RockClusterer(opt).Cluster(sim);
+  Timer nbr_timer;
+  PackedNeighborOptions nopts;
+  nopts.num_threads = opt.graph_threads;
+  nopts.row_chunk = opt.row_chunk;
+  auto graph = ComputeNeighborsPacked(sim, opt.theta, nopts);
+  if (!graph.ok()) return graph.status();
+  const double nbr_seconds = nbr_timer.ElapsedSeconds();
+  RockResult result = internal::RunHashedMergeEngine(*graph, opt);
+  result.metrics.RecordSeconds("stage.neighbors", nbr_seconds);
+  return result;
 }
 
 }  // namespace
@@ -52,11 +83,15 @@ int main(int argc, char** argv) {
   double scale = 1.0;
   bool compare_engines = false;
   size_t threads = 1;
+  size_t reps = 1;
   for (int a = 1; a < argc; ++a) {
     if (std::strcmp(argv[a], "--compare-engines") == 0) {
       compare_engines = true;
     } else if (std::strncmp(argv[a], "--threads=", 10) == 0) {
       threads = static_cast<size_t>(std::atoll(argv[a] + 10));
+    } else if (std::strncmp(argv[a], "--reps=", 7) == 0) {
+      reps = std::max<size_t>(
+          1, static_cast<size_t>(std::atoll(argv[a] + 7)));
     } else {
       scale = std::atof(argv[a]);
     }
@@ -80,8 +115,8 @@ int main(int argc, char** argv) {
 
   const double thetas[] = {0.5, 0.6, 0.7, 0.8};
   const size_t samples[] = {1000, 2000, 3000, 4000, 5000};
-  std::vector<MergeEngineKind> engines = {MergeEngineKind::kParallel};
-  if (compare_engines) engines.push_back(MergeEngineKind::kHashed);
+  std::vector<Engine> engines = {Engine::kParallel};
+  if (compare_engines) engines.push_back(Engine::kHashed);
 
   std::printf("\nexecution time in seconds (excludes labeling, as in the "
               "paper)%s\n",
@@ -105,23 +140,33 @@ int main(int argc, char** argv) {
     std::printf("%-12zu", n);
     for (double theta : thetas) {
       TransactionJaccard sim(sample);
-      for (MergeEngineKind engine : engines) {
+      for (Engine engine : engines) {
         RockOptions opt;
         opt.theta = theta;
         opt.num_clusters = 10;
         opt.outlier_stop_multiple = 3.0;
         opt.min_cluster_support = 5;
-        opt.merge_engine = engine;
         opt.graph_threads = threads;
-        Timer timer;
-        auto result = RockClusterer(opt).Cluster(sim);
-        if (!result.ok()) {
-          std::fprintf(stderr, "ROCK failed: %s\n",
-                       result.status().ToString().c_str());
-          return 1;
+        // Best of `reps` by stage.merge, the gated figure.
+        std::optional<RockResult> result;
+        double seconds = 0.0;
+        for (size_t rep = 0; rep < reps; ++rep) {
+          Timer timer;
+          auto run = RunCell(sim, opt, engine);
+          const double s = timer.ElapsedSeconds();
+          if (!run.ok()) {
+            std::fprintf(stderr, "ROCK failed: %s\n",
+                         run.status().ToString().c_str());
+            return 1;
+          }
+          if (!result || bench::StageSeconds(run->metrics, "merge") <
+                             bench::StageSeconds(result->metrics, "merge")) {
+            result = std::move(*run);
+            seconds = s;
+          }
         }
         if (engine == engines.front()) {
-          std::printf("%8.2f", timer.ElapsedSeconds());
+          std::printf("%8.2f", seconds);
           std::fflush(stdout);
         }
         char label[64];

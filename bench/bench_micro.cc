@@ -13,6 +13,7 @@
 #include "common/random.h"
 #include "common/timer.h"
 #include "core/goodness.h"
+#include "core/merge_engine.h"
 #include "core/rock.h"
 #include "core/sampling.h"
 #include "data/dataset.h"
@@ -176,10 +177,17 @@ BENCHMARK(BM_RockClusterMetrics)
     ->ArgName("collect_metrics")
     ->Unit(benchmark::kMillisecond);
 
-// The two merge-engine layouts over an identical precomputed neighbor
-// graph: hashed (unordered_map reference) and parallel (AoS rows + lazy
-// best-cleaning + elided heap fixups). Same merge sequence, different
-// memory traffic and rescan counts.
+// The two merge engines over an identical precomputed neighbor graph:
+// hashed (the reference: Fig. 4 links, unordered_map rows) and parallel
+// (the production engine: packed links, AoS rows + lazy best-cleaning +
+// elided heap fixups). Same merge sequence, different memory traffic and
+// rescan counts.
+RockResult RunMergeEngine(bool hashed, const NeighborGraph& graph,
+                          const RockOptions& opt) {
+  return hashed ? internal::RunHashedMergeEngine(graph, opt)
+                : internal::RunParallelMergeEngine(graph, opt);
+}
+
 void BM_RockMergeEngine(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));
   TransactionDataset local = MakeBaskets(n);
@@ -188,12 +196,10 @@ void BM_RockMergeEngine(benchmark::State& state) {
   RockOptions opt;
   opt.theta = 0.5;
   opt.num_clusters = 4;
-  opt.merge_engine = state.range(1) == 0 ? MergeEngineKind::kHashed
-                                         : MergeEngineKind::kParallel;
-  RockClusterer clusterer(opt);
+  const bool hashed = state.range(1) == 0;
   for (auto _ : state) {
-    auto result = clusterer.ClusterGraph(*graph);
-    benchmark::DoNotOptimize(result->stats.num_merges);
+    auto result = RunMergeEngine(hashed, *graph, opt);
+    benchmark::DoNotOptimize(result.stats.num_merges);
   }
 }
 BENCHMARK(BM_RockMergeEngine)
@@ -273,28 +279,26 @@ BENCHMARK(BM_MushroomGenerator)->Unit(benchmark::kMillisecond);
 // suite so the JSON exists even when benchmarks are filtered out.
 void WritePerfTrajectory() {
   bench::PerfJsonWriter perf("bench_micro");
-  const std::pair<MergeEngineKind, const char*> kEngines[] = {
-      {MergeEngineKind::kParallel, "parallel"},
-      {MergeEngineKind::kHashed, "hashed"},
+  const std::pair<bool, const char*> kEngines[] = {
+      {false, "parallel"},
+      {true, "hashed"},
   };
   for (size_t n : {size_t{512}, size_t{2048}}) {
     TransactionDataset ds = MakeBaskets(n);
     TransactionJaccard sim(ds);
     auto graph = ComputeNeighbors(sim, 0.5);
-    for (const auto& [kind, engine] : kEngines) {
+    for (const auto& [hashed, engine] : kEngines) {
       RockOptions opt;
       opt.theta = 0.5;
       opt.num_clusters = 4;
-      opt.merge_engine = kind;
       Timer timer;
-      auto result = RockClusterer(opt).ClusterGraph(*graph);
+      const RockResult result = RunMergeEngine(hashed, *graph, opt);
       const double seconds = timer.ElapsedSeconds();
-      if (!result.ok()) continue;
       perf.BeginEntry("merge_engine n=" + std::to_string(n) + " " + engine);
       perf.Param("n", std::to_string(n));
       perf.Param("engine", engine);
       perf.Timer("wall", seconds);
-      perf.AddRunMetrics(result->metrics);
+      perf.AddRunMetrics(result.metrics);
     }
   }
   perf.Write();

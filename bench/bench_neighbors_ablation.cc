@@ -4,8 +4,7 @@
 //   * exact multithreaded all-pairs,
 //   * MinHash/LSH candidate generation + exact verification (the packed
 //     engine's kLsh pass),
-// plus the end-to-end clustering alternatives at high θ:
-//   * full merge engine vs the link-component shortcut.
+// plus the end-to-end clustering time at high θ (mushroom, θ = 0.8).
 //
 // Default mode runs the google-benchmark suite below. With
 // --compare-engines it instead measures the packed neighbor engine against
@@ -28,7 +27,6 @@
 
 #include "bench_util.h"
 #include "common/timer.h"
-#include "core/components.h"
 #include "core/rock.h"
 #include "core/sampling.h"
 #include "diag/metrics.h"
@@ -161,18 +159,6 @@ void BM_ClusterMergeEngine(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ClusterMergeEngine)->Unit(benchmark::kMillisecond);
-
-void BM_ClusterLinkComponents(benchmark::State& state) {
-  MushroomGeneratorOptions gen;
-  gen.size_scale = 0.1;
-  auto ds = GenerateMushroomData(gen);
-  CategoricalJaccard sim(*ds);
-  for (auto _ : state) {
-    auto r = ComputeLinkComponents(sim, 0.8);
-    benchmark::DoNotOptimize(r->clustering.num_clusters());
-  }
-}
-BENCHMARK(BM_ClusterLinkComponents)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------- --compare-engines harness --
 

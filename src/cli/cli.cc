@@ -372,89 +372,27 @@ int CmdGen(const std::vector<std::string>& args, std::string* out,
   return 0;
 }
 
-// Thread, LSH and engine flags of the clustering core, shared by
-// `cluster` and the pipeline commands: one definition keeps their names,
-// defaults and transfer into RockOptions identical.
+// Thread flags of the clustering core, shared by `cluster` and the
+// pipeline commands: one definition keeps their names, defaults and
+// transfer into RockOptions identical.
 struct RockFlagValues {
   size_t threads = 1;
-  size_t graph_threads = kGraphThreadsInherit;
   size_t row_chunk = 16;
-  size_t lsh_bands = 0;
-  size_t lsh_rows = 0;
-  size_t lsh_seed = 0x5eed;
-  std::string neighbor_engine = "packed";
-  std::string link_engine = "packed";
-  std::string merge_engine = "parallel";
 };
 
 void RegisterRockFlags(FlagSet& flags, RockFlagValues* v) {
   flags.AddSize("threads", &v->threads,
                 "worker threads for the neighbor/link phases "
                 "(0 = all cores; results are identical at any count)");
-  flags.AddSize("graph-threads", &v->graph_threads,
-                "worker threads for just the neighbor/link phases "
-                "(default: follow --threads; 0 = all cores)");
   flags.AddSize("row-chunk", &v->row_chunk,
                 "rows claimed per parallel scheduling step "
                 "(with --threads > 1)");
-  flags.AddSize("lsh-bands", &v->lsh_bands,
-                "LSH bands for --neighbor-engine=lsh|auto "
-                "(0 = auto-tune from θ)");
-  flags.AddSize("lsh-rows", &v->lsh_rows,
-                "LSH rows per band (0 = auto-tune from θ)");
-  flags.AddSize("lsh-seed", &v->lsh_seed, "LSH hash-family seed");
-  flags.AddString("neighbor-engine", &v->neighbor_engine,
-                  "packed | scalar | lsh | auto neighbor-graph engine "
-                  "(packed/scalar are exact and identical, lsh is "
-                  "precision-1 approximate, auto picks per dataset)");
-  flags.AddString("link-engine", &v->link_engine,
-                  "packed | hashed link-count engine (link rows are "
-                  "identical, packed is faster)");
-  flags.AddString("merge-engine", &v->merge_engine,
-                  "parallel | hashed merge-engine layout (results "
-                  "are identical, parallel is fastest)");
 }
 
-/// Transfers the parsed group into `opt`. Returns 0, or exit code 2 after
-/// rendering an error for an unknown engine name.
-int ApplyRockFlags(const RockFlagValues& v, RockOptions* opt,
-                   std::string* out) {
-  opt->num_threads = v.threads;
-  opt->graph_threads = v.graph_threads;
+/// Transfers the parsed group into `opt`.
+void ApplyRockFlags(const RockFlagValues& v, RockOptions* opt) {
+  opt->graph_threads = v.threads;
   opt->row_chunk = v.row_chunk;
-  opt->lsh_bands = v.lsh_bands;
-  opt->lsh_rows = v.lsh_rows;
-  opt->lsh_seed = v.lsh_seed;
-  if (v.neighbor_engine == "packed") {
-    opt->neighbor_engine = NeighborEngineKind::kPacked;
-  } else if (v.neighbor_engine == "scalar") {
-    opt->neighbor_engine = NeighborEngineKind::kScalar;
-  } else if (v.neighbor_engine == "lsh") {
-    opt->neighbor_engine = NeighborEngineKind::kLsh;
-  } else if (v.neighbor_engine == "auto") {
-    opt->neighbor_engine = NeighborEngineKind::kAuto;
-  } else {
-    EmitStr(out,
-            "error: unknown --neighbor-engine '" + v.neighbor_engine + "'\n");
-    return 2;
-  }
-  if (v.link_engine == "packed") {
-    opt->link_engine = LinkEngineKind::kPacked;
-  } else if (v.link_engine == "hashed") {
-    opt->link_engine = LinkEngineKind::kHashed;
-  } else {
-    EmitStr(out, "error: unknown --link-engine '" + v.link_engine + "'\n");
-    return 2;
-  }
-  if (v.merge_engine == "parallel") {
-    opt->merge_engine = MergeEngineKind::kParallel;
-  } else if (v.merge_engine == "hashed") {
-    opt->merge_engine = MergeEngineKind::kHashed;
-  } else {
-    EmitStr(out, "error: unknown --merge-engine '" + v.merge_engine + "'\n");
-    return 2;
-  }
-  return 0;
 }
 
 int CmdCluster(const std::vector<std::string>& args, std::string* out,
@@ -551,7 +489,7 @@ int CmdCluster(const std::vector<std::string>& args, std::string* out,
       opt.outlier_stop_multiple = stop_multiple;
       opt.min_cluster_support = min_support;
       opt.diag.invariant_check_every = check_invariants;
-      if (int rc = ApplyRockFlags(rock, &opt, out); rc != 0) return rc;
+      ApplyRockFlags(rock, &opt);
       Result<RockResult> result = RockClusterer(opt).Cluster(*sim);
       if (!result.ok()) {
         EmitStr(out, "error: " + result.status().ToString() + "\n");
@@ -708,22 +646,19 @@ void RegisterPipelineFlags(FlagSet& flags, PipelineFlagValues* v) {
   flags.AddInt("seed", &v->seed, "sampling seed");
 }
 
-/// Transfers parsed flag values into PipelineOptions. Returns 0, or exit
-/// code 2 after rendering an error for an unknown engine name.
-int ApplyPipelineFlags(const PipelineFlagValues& v, PipelineOptions* opt,
-                       std::string* out) {
+/// Transfers parsed flag values into PipelineOptions.
+void ApplyPipelineFlags(const PipelineFlagValues& v, PipelineOptions* opt) {
   opt->rock.theta = v.theta;
   opt->rock.num_clusters = v.k;
   opt->rock.outlier_stop_multiple = v.stop_multiple;
   opt->rock.min_cluster_support = v.min_support;
   opt->rock.diag.invariant_check_every = v.check_invariants;
   opt->rock.label_threads = v.label_threads;
-  if (int rc = ApplyRockFlags(v.rock, &opt->rock, out); rc != 0) return rc;
+  ApplyRockFlags(v.rock, &opt->rock);
   opt->sample_size = v.sample_size;
   opt->labeling.fraction = v.labeling_fraction;
   opt->seed = static_cast<uint64_t>(v.seed);
   opt->rock.failpoints = v.failpoints;
-  return 0;
 }
 
 int CmdPipeline(const std::vector<std::string>& args, std::string* out,
@@ -768,9 +703,7 @@ int CmdPipeline(const std::vector<std::string>& args, std::string* out,
   }
 
   PipelineOptions opt;
-  if (int code = ApplyPipelineFlags(v, &opt, out); code != 0) {
-    return code;
-  }
+  ApplyPipelineFlags(v, &opt);
   opt.checkpoint_path = checkpoint_path;
   opt.resume = resume;
   auto result = RunRockPipeline(store, opt);
@@ -879,9 +812,7 @@ int CmdBuild(const std::vector<std::string>& args, std::string* out,
   }
 
   ModelBuildOptions opt;
-  if (int code = ApplyPipelineFlags(v, &opt.pipeline, out); code != 0) {
-    return code;
-  }
+  ApplyPipelineFlags(v, &opt.pipeline);
   opt.model_path = model_path;
   auto result = BuildModel(store, opt);
   if (!result.ok()) {
@@ -1229,10 +1160,7 @@ int CmdAppend(const std::vector<std::string>& args, std::string* out,
 
   diag::MetricsRegistry registry;
   StreamOptions stream_options;
-  if (int code = ApplyPipelineFlags(v, &stream_options.build.pipeline, out);
-      code != 0) {
-    return code;
-  }
+  ApplyPipelineFlags(v, &stream_options.build.pipeline);
   stream_options.build.pipeline.checkpoint_path = checkpoint_path;
   stream_options.build.pipeline.resume = resume;
   stream_options.drift.window = drift_window;

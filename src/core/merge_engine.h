@@ -2,23 +2,27 @@
 //
 // The two implementations of the Fig. 3 agglomerative merge loop. Both
 // consume a prebuilt neighbor graph, run the link phase, and return a
-// complete RockResult; they differ only in data layout:
+// complete RockResult:
 //
-//   * parallel — interleaved (AoS) partner rows, lazy best cleaning, a
+//   * parallel — the production engine, the only one RockClusterer runs
+//                (core/merge_parallel.cc, DESIGN.md §12). Links come from
+//                the packed link engine (graph/link_engine.h) at
+//                RockOptions::graph_threads; the merge loop itself uses
+//                interleaved (AoS) partner rows, lazy best cleaning, a
 //                memoized goodness table and elided no-op global-heap
-//                fixups. The default and only production engine
-//                (core/merge_parallel.cc, DESIGN.md §12); its merge loop
-//                is serial, the name is kept for the CLI value and the
-//                perf baselines.
-//   * hashed   — per-cluster std::unordered_map link tables and local
-//                heaps, the paper-literal layout. Kept behind the same
-//                API as the reference oracle for differential tests and
-//                the perf gate (core/merge_hashed.cc).
+//                fixups. It is serial; the name is kept for the perf
+//                baselines.
+//   * hashed   — the paper-literal reference (core/merge_hashed.cc):
+//                serial Fig. 4 links (graph/links.h) and per-cluster
+//                std::unordered_map link tables with local heaps. Called
+//                directly by the differential tests' reference
+//                composition (tests/reference_rock.h) and by the perf
+//                gates' benches.
 //
 // Results are bit-identical: the merge sequence, clustering, stats, and
 // invariant-check outcomes agree element for element (enforced by
-// tests/diag_differential_test.cc). RockClusterer dispatches on
-// RockOptions::merge_engine; this header is not part of the public API.
+// tests/diag_differential_test.cc). This header is not part of the public
+// API.
 
 #ifndef ROCK_CORE_MERGE_ENGINE_H_
 #define ROCK_CORE_MERGE_ENGINE_H_
@@ -27,23 +31,15 @@
 
 namespace rock::internal {
 
-/// Runs the original hash-table merge engine (reference oracle).
+/// Runs the paper-literal reference: Fig. 4 links, then the hash-table
+/// merge engine.
 RockResult RunHashedMergeEngine(const NeighborGraph& graph,
                                 const RockOptions& options);
 
-/// Runs the production merge engine (interleaved rows, lazy best
-/// cleaning, elided heap fixups) — the default.
+/// Runs the production engine: packed links, then the interleaved-row
+/// merge loop with lazy best cleaning and elided heap fixups.
 RockResult RunParallelMergeEngine(const NeighborGraph& graph,
                                   const RockOptions& options);
-
-/// Link phase shared by both merge engines: dispatches on
-/// RockOptions::link_engine (packed link engine vs the serial Fig. 4
-/// hashed scatter, graph/link_engine.h vs graph/links.cc) with the run's
-/// thread count and metrics sink threaded through. Either engine yields a
-/// matrix with byte-identical CSR rows.
-LinkMatrix ComputeLinkStage(const NeighborGraph& graph,
-                            const RockOptions& options,
-                            diag::MetricsRegistry* metrics);
 
 }  // namespace rock::internal
 

@@ -1,11 +1,12 @@
 // librock — core/merge_hashed.cc
 //
-// The original hash-table merge engine: per-cluster std::unordered_map link
-// tables and O(1)-probe relinking. Superseded as the default by the
-// production engine (core/merge_parallel.cc) but kept behind the same API
-// as the reference oracle — differential tests assert the two engines
-// produce bit-identical merge sequences, and the perf-smoke harness
-// measures the production engine's speedup against this one.
+// The paper-literal reference merge engine: serial Fig. 4 links
+// (ComputeLinks in graph/links.h), then per-cluster std::unordered_map
+// link tables and O(1)-probe relinking. RockClusterer never runs it; the
+// differential tests' reference composition (tests/reference_rock.h)
+// asserts the production engine (core/merge_parallel.cc) reproduces its
+// merge sequence bit for bit, and the perf-smoke harness measures the
+// production engine's speedup against this one.
 
 #include <algorithm>
 #include <cmath>
@@ -60,7 +61,7 @@ class HashedMergeEngine {
     result.stats.num_pruned_points = pruned_.size();
 
     Timer link_timer;
-    const LinkMatrix links = ComputeLinkStage(graph_, options_, metrics_);
+    const LinkMatrix links = ComputeLinks(graph_);
     result.stats.link_seconds = link_timer.ElapsedSeconds();
     if (metrics_ != nullptr) {
       metrics_->RecordSeconds("stage.links", result.stats.link_seconds);

@@ -4,9 +4,10 @@
 // algorithm and byte-identical results as the paper-literal hashed
 // reference (core/merge_hashed.cc). The greedy merge sequence is serial —
 // every merge depends on the heap top the previous one left — so the
-// engine is single-threaded; the name `parallel` is kept because the CLI
-// value and the perf baselines carry it. The per-merge work is laid out
-// for throughput:
+// engine is single-threaded; the name `parallel` is kept because the perf
+// baselines carry it. Its link phase is the packed link engine
+// (graph/link_engine.h) at RockOptions::graph_threads. The per-merge work
+// is laid out for throughput:
 //
 //   * Interleaved rows: each cluster's cross-links live in one vector of
 //     24-byte RowEntry{partner, count, goodness} records instead of three
@@ -63,6 +64,7 @@
 #include "core/criterion.h"
 #include "core/merge_engine.h"
 #include "diag/invariants.h"
+#include "graph/link_engine.h"
 #include "util/updatable_heap.h"
 
 namespace rock::internal {
@@ -126,7 +128,11 @@ class ParallelMergeEngine {
     result.stats.num_pruned_points = pruned_.size();
 
     Timer link_timer;
-    const LinkMatrix links = ComputeLinkStage(graph_, options_, metrics_);
+    PackedLinkOptions link_options;
+    link_options.num_threads = options_.graph_threads;
+    link_options.row_chunk = options_.row_chunk;
+    link_options.metrics = metrics_;
+    const LinkMatrix links = ComputeLinksPacked(graph_, link_options);
     result.stats.link_seconds = link_timer.ElapsedSeconds();
     if (metrics_ != nullptr) {
       metrics_->RecordSeconds("stage.links", result.stats.link_seconds);

@@ -4,10 +4,11 @@
 // parameters: the similarity threshold θ (§3.1), the link-expectation
 // exponent function f(θ) (§3.3), the desired cluster count k, and the two
 // outlier-handling controls of §4.6 (isolated-point pruning and small-
-// cluster weeding at a stop multiple of k). Engine choices and thread
-// counts apply to the neighbor, link and labeling phases; the Fig. 3 merge
-// loop is serial and only picks between the production engine and the
-// hashed reference.
+// cluster weeding at a stop multiple of k). There is one engine per phase:
+// RockClusterer always runs the packed neighbor engine, the packed link
+// engine and the production merge engine. Thread counts apply to the
+// neighbor + link phases (graph_threads) and to labeling (label_threads);
+// the Fig. 3 merge loop is serial.
 
 #ifndef ROCK_CORE_OPTIONS_H_
 #define ROCK_CORE_OPTIONS_H_
@@ -20,9 +21,6 @@
 #include "common/status.h"
 
 namespace rock {
-
-/// Sentinel for RockOptions::graph_threads: inherit num_threads.
-inline constexpr size_t kGraphThreadsInherit = static_cast<size_t>(-1);
 
 /// The paper's market-basket estimate f(θ) = (1 − θ) / (1 + θ): each point
 /// of a cluster C_i has ≈ n_i^{f(θ)} neighbors inside C_i. Satisfies the
@@ -37,57 +35,6 @@ double MarketBasketF(double theta);
 /// fails the paper's own boundary check f(1) = 0, so MarketBasketF is the
 /// canonical default.
 double ConservativeMarketBasketF(double theta);
-
-/// Which data layout the Fig. 3 merge engine runs on. Results (merge
-/// sequence, clustering, stats) are bit-identical across both; only
-/// memory layout and speed differ.
-enum class MergeEngineKind {
-  /// The original per-cluster `unordered_map` link tables. Kept as the
-  /// reference oracle for differential tests and perf baselines.
-  kHashed,
-  /// Interleaved (AoS) partner rows, lazy best cleaning and elided no-op
-  /// heap fixups — the default engine (core/merge_parallel.cc). The merge
-  /// loop is serial; the name is kept for the CLI value and baselines.
-  kParallel,
-};
-
-/// Which engine builds the θ-thresholded neighbor graph. kPacked and
-/// kScalar produce bit-identical graphs at any thread count; kLsh trades
-/// a controlled amount of recall for sub-quadratic candidate generation
-/// (precision stays 1 — every reported edge is exactly θ-verified), and
-/// kAuto only makes that trade when the cost model predicts a clear win.
-enum class NeighborEngineKind {
-  /// Bit-packed popcount kernel + θ length-bound / inverted-index pruning
-  /// (graph/neighbor_engine.h) — the default, always exact. Falls back to
-  /// the scalar path for similarities without a batch kernel.
-  kPacked,
-  /// The original per-pair virtual-call sweep (graph/neighbors.h). Kept as
-  /// the reference oracle for differential tests and perf baselines.
-  kScalar,
-  /// MinHash LSH banding candidates + exact θ-verification (the packed
-  /// engine's kLsh strategy). Deterministic for a fixed lsh_seed at any
-  /// thread count; recall follows 1 − (1 − θ^r)^b for the banding in use.
-  kLsh,
-  /// The packed engine's cost model, additionally allowed to pick the LSH
-  /// pass when its estimated op count beats every exact pass by a wide
-  /// margin (graph/neighbor_engine.h kLshAutoFactor).
-  kAuto,
-};
-
-/// Which engine computes the pairwise link counts (paper §3.2 / Fig. 4).
-/// Frozen CSR link rows are byte-identical between the two at any thread
-/// count; only speed differs.
-enum class LinkEngineKind {
-  /// Bit-plane popcount engine (graph/link_engine.h): neighbor rows packed
-  /// into 64-bit word planes, link(p, q) = popcount(row_p AND row_q) over
-  /// exactly the pairs sharing ≥ 1 neighbor — the default. Runs its exact
-  /// scatter pass when the plane exceeds the packing budget.
-  kPacked,
-  /// The original Fig. 4 pair-counting scatter (graph/links.cc), serial.
-  /// Kept verbatim as the reference oracle for differential tests and perf
-  /// baselines.
-  kHashed,
-};
 
 /// Observability and self-checking knobs (see docs/OBSERVABILITY.md).
 struct DiagOptions {
@@ -134,43 +81,20 @@ struct RockOptions {
   /// (the O(n²)-ish parts; the merge loop is inherently sequential).
   /// 1 = serial (default), 0 = hardware concurrency. Results are
   /// identical regardless of thread count.
-  size_t num_threads = 1;
+  size_t graph_threads = 1;
 
   /// Rows claimed per scheduling step by the parallel graph phases
   /// (ParallelOptions::row_chunk). Smaller chunks balance better on skewed
   /// rows, larger chunks cut scheduling overhead. Ignored when
-  /// num_threads == 1.
+  /// graph_threads == 1.
   size_t row_chunk = 16;
 
-  /// Worker threads for just the neighbor-graph + link phases, overriding
-  /// num_threads there when set (kGraphThreadsInherit = follow
-  /// num_threads; 0 = hardware concurrency). Lets a pipeline keep the
-  /// serial default elsewhere while the two graph phases fan out.
-  size_t graph_threads = kGraphThreadsInherit;
-
-  /// LSH banding for neighbor_engine kLsh / kAuto: bands b and rows per
-  /// band r (signature length b·r, candidate recall 1 − (1 − θ^r)^b).
-  /// Both 0 (the default) auto-tunes them from θ for ≥ 99.95% recall at
-  /// similarity exactly θ under a bounded signature length
-  /// (TuneLshOptions in similarity/minhash.h). Ignored by exact engines.
-  size_t lsh_bands = 0;
-  size_t lsh_rows = 0;
-
-  /// Seed for the LSH hash family. Graphs from kLsh are deterministic
-  /// functions of (data, banding, this seed) at any thread count.
+  /// Seed of the MinHash family in similarity/minhash.h. Nothing in the
+  /// library reads it: the clusterer's neighbor pass is always exact. It
+  /// stays because the end-to-end benchmark (bench/e2e/bench_e2e.cc)
+  /// still passes it to TuneLshOptions when it spells out the packed
+  /// neighbor options.
   uint64_t lsh_seed = 0x5eed;
-
-  /// Merge-engine data layout; see MergeEngineKind. Both engines produce
-  /// bit-identical results.
-  MergeEngineKind merge_engine = MergeEngineKind::kParallel;
-
-  /// Neighbor-graph engine; see NeighborEngineKind. Both engines produce
-  /// bit-identical graphs.
-  NeighborEngineKind neighbor_engine = NeighborEngineKind::kPacked;
-
-  /// Link-computation engine; see LinkEngineKind. Both engines produce
-  /// byte-identical CSR link rows.
-  LinkEngineKind link_engine = LinkEngineKind::kPacked;
 
   /// Worker threads for the disk labeling phase (§4.6, the only stage that
   /// touches the whole database). The store is split into row shards that
@@ -188,12 +112,9 @@ struct RockOptions {
   /// rejected with FailedPrecondition instead of being silently ignored.
   std::string failpoints;
 
-  /// Thread count the graph phases actually run with: graph_threads
-  /// unless it is kGraphThreadsInherit, in which case num_threads.
-  size_t EffectiveGraphThreads() const {
-    return graph_threads == kGraphThreadsInherit ? num_threads
-                                                 : graph_threads;
-  }
+  /// Thread count the graph phases run with (graph_threads; kept as an
+  /// accessor because bench/e2e/bench_e2e.cc calls it).
+  size_t EffectiveGraphThreads() const { return graph_threads; }
 
   /// Checks parameter sanity.
   Status Validate() const;

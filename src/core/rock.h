@@ -2,8 +2,10 @@
 //
 // The ROCK agglomerative clusterer (paper §4, Fig. 3). Given a normalized
 // similarity and θ it:
-//   1. builds the neighbor graph (§3.1) and prunes isolated outliers (§4.6),
-//   2. computes pairwise links with the sparse Fig. 4 algorithm,
+//   1. builds the neighbor graph (§3.1, the packed neighbor engine) and
+//      prunes isolated outliers (§4.6),
+//   2. computes pairwise links (§3.2, the packed link engine; the same
+//      counts as the Fig. 4 algorithm),
 //   3. greedily merges the cluster pair with maximal goodness g(C_i, C_j)
 //      (§4.2) using one local heap per cluster plus a global heap,
 //   4. optionally pauses at a small multiple of k to weed low-support

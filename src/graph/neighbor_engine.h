@@ -1,10 +1,12 @@
 // librock — graph/neighbor_engine.h
 //
-// θ-thresholded packed neighbor-graph engine. The scalar engines in
+// θ-thresholded packed neighbor-graph engine, the one RockClusterer runs
+// (with default options, so always an exact pass). The scalar engines in
 // neighbors.h / parallel.h evaluate all n²/2 pairs through a virtual
-// per-pair call; this engine consumes a similarity's BatchSimilarity
-// (similarity/batch.h) through one of two exact passes, staying
-// bit-identical to the scalar oracle at any thread count:
+// per-pair call; they are the reference and this engine's fallback. This
+// engine consumes a similarity's BatchSimilarity (similarity/batch.h)
+// through one of two exact passes, staying bit-identical to the scalar
+// reference at any thread count:
 //
 //   * dense sweep — for set-Jaccard batches (prune_sizes() non-null) at
 //     θ > 0, every pair in id order: popcount(row_i AND row_j) over the
@@ -103,8 +105,8 @@ struct PackedNeighborOptions {
   /// allow_lsh). Defaults target ≥ 99.9% pair recall at θ ≈ 0.73.
   LshOptions lsh;
   /// Lets kAuto trade exactness for the sub-quadratic LSH pass. Off by
-  /// default so existing callers keep the bit-identical-to-oracle
-  /// contract unless they opt in (RockOptions maps kAuto here).
+  /// default, and RockClusterer never sets it, so clustering keeps the
+  /// bit-identical-to-reference contract.
   bool allow_lsh = false;
   /// Metrics sink (may be null): neighbors.pairs_evaluated,
   /// neighbors.pairs_pruned, neighbors.candidate_pass,

@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/cli.h"
@@ -276,19 +277,22 @@ TEST_F(CliTest, ErrorsAreReported) {
   EXPECT_EQ(code5, 2);
 }
 
+// The shared thread flag: the clustering (and so the purity line) is the
+// same at any --threads value, and a malformed value is a flag error. The
+// test keeps the name it had while `cluster` could switch neighbor
+// engines.
 TEST_F(CliTest, NeighborEngineFlagSelectsAndValidates) {
   auto [gcode, gout] = Run({"gen", "--dataset=votes",
                             "--out=" + Path("votes.csv")});
   ASSERT_EQ(gcode, 0) << gout;
   std::string purity_line;
-  for (const char* engine : {"packed", "scalar"}) {
+  for (const char* threads : {"1", "2"}) {
     auto [code, out] = Run({"cluster", "--input=" + Path("votes.csv"),
                             "--theta=0.73", "--k=2",
-                            std::string("--neighbor-engine=") + engine});
+                            std::string("--threads=") + threads});
     ASSERT_EQ(code, 0) << out;
     const size_t pos = out.find("purity:");
     ASSERT_NE(pos, std::string::npos) << out;
-    // Engines must agree on the clustering (purity is a function of it).
     const std::string line = out.substr(pos, out.find('\n', pos) - pos);
     if (purity_line.empty()) {
       purity_line = line;
@@ -297,14 +301,16 @@ TEST_F(CliTest, NeighborEngineFlagSelectsAndValidates) {
     }
   }
   auto [bcode, bout] = Run({"cluster", "--input=" + Path("votes.csv"),
-                            "--neighbor-engine=simd"});
+                            "--threads=many"});
   EXPECT_EQ(bcode, 2);
-  EXPECT_NE(bout.find("unknown --neighbor-engine"), std::string::npos);
+  EXPECT_NE(bout.find("cannot parse 'many' for --threads"),
+            std::string::npos)
+      << bout;
 }
 
-// `cluster` and `pipeline` share one engine-name parser: the retired flat
-// merge engine is an unknown name on both, and the retired
-// --merge-threads flag is an unknown flag.
+// `cluster` and `pipeline` share one thread-flag group. Every engine, LSH
+// and thread flag retired from it (and the older --merge-threads) is an
+// unknown flag on both.
 TEST_F(CliTest, MergeEngineFlagRejectsRetiredNames) {
   auto [gcode, gout] = Run({"gen", "--dataset=votes",
                             "--out=" + Path("votes.csv")});
@@ -313,22 +319,25 @@ TEST_F(CliTest, MergeEngineFlagRejectsRetiredNames) {
       {"cluster", "--input=" + Path("votes.csv"), "--theta=0.73", "--k=2"},
       {"pipeline", "--store=" + Path("missing.store")},
   };
+  const std::pair<const char*, const char*> retired[] = {
+      {"merge-engine", "flat"},   {"merge-engine", "hashed"},
+      {"merge-threads", "2"},     {"neighbor-engine", "scalar"},
+      {"link-engine", "hashed"},  {"lsh-bands", "33"},
+      {"lsh-rows", "5"},          {"lsh-seed", "7"},
+      {"graph-threads", "2"},
+  };
   for (const auto& base : commands) {
     SCOPED_TRACE(base.front());
-    std::vector<std::string> flat = base;
-    flat.push_back("--merge-engine=flat");
-    auto [code, out] = Run(flat);
-    EXPECT_EQ(code, 2) << out;
-    EXPECT_NE(out.find("error: unknown --merge-engine 'flat'"),
-              std::string::npos)
-        << out;
-
-    std::vector<std::string> threads = base;
-    threads.push_back("--merge-threads=2");
-    auto [tcode, tout] = Run(threads);
-    EXPECT_EQ(tcode, 2) << tout;
-    EXPECT_NE(tout.find("unknown flag --merge-threads"), std::string::npos)
-        << tout;
+    for (const auto& [flag, value] : retired) {
+      SCOPED_TRACE(flag);
+      std::vector<std::string> args = base;
+      args.push_back(std::string("--") + flag + "=" + value);
+      auto [code, out] = Run(args);
+      EXPECT_EQ(code, 2) << out;
+      EXPECT_NE(out.find(std::string("unknown flag --") + flag),
+                std::string::npos)
+          << out;
+    }
   }
 }
 

@@ -2,7 +2,9 @@
 // to their serial counterparts on randomized Jaccard datasets across θ and
 // thread counts, including the degenerate graphs (no edges, complete graph).
 // Equality is asserted structurally AND through the diag invariant oracles,
-// so a disagreement reports which layer diverged.
+// so a disagreement reports which layer diverged. The clusterer as a whole,
+// and the disk pipeline's sample clustering, are pinned to the paper-literal
+// ReferenceCluster (tests/reference_rock.h).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -22,9 +24,11 @@
 #include "data/transaction.h"
 #include "diag/invariants.h"
 #include "graph/link_engine.h"
+#include "graph/neighbor_engine.h"
 #include "graph/links.h"
 #include "graph/neighbors.h"
 #include "graph/parallel.h"
+#include "reference_rock.h"
 #include "similarity/jaccard.h"
 #include "synth/basket_generator.h"
 #include "test_support.h"
@@ -151,17 +155,18 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialSeedTest,
 
 // ------------------------------------------------- merge-engine differential --
 
-// The production merge engine (interleaved rows, lazy best cleaning with
-// upper-bound priorities, elided heap fixups, periodic dead-entry
-// compaction) must reproduce the paper-literal hashed reference bit for
+// The production path (packed neighbors, packed links, and the merge
+// engine with interleaved rows, lazy best cleaning with upper-bound
+// priorities, elided heap fixups and periodic dead-entry compaction) must
+// reproduce the paper-literal reference (tests/reference_rock.h) bit for
 // bit: the same merge sequence record by record, the same clustering, the
 // same stats and criterion. Any divergence in the relink algebra or heap
 // ordering shows up as the first differing MergeRecord.
 
-void ExpectRunsIdentical(const RockResult& hashed, const RockResult& other) {
-  ASSERT_EQ(hashed.merges.size(), other.merges.size());
-  for (size_t m = 0; m < hashed.merges.size(); ++m) {
-    const MergeRecord& a = hashed.merges[m];
+void ExpectRunsIdentical(const RockResult& reference, const RockResult& other) {
+  ASSERT_EQ(reference.merges.size(), other.merges.size());
+  for (size_t m = 0; m < reference.merges.size(); ++m) {
+    const MergeRecord& a = reference.merges[m];
     const MergeRecord& b = other.merges[m];
     ASSERT_EQ(a.left, b.left) << "merge " << m;
     ASSERT_EQ(a.right, b.right) << "merge " << m;
@@ -169,20 +174,39 @@ void ExpectRunsIdentical(const RockResult& hashed, const RockResult& other) {
     ASSERT_EQ(a.new_size, b.new_size) << "merge " << m;
     ASSERT_DOUBLE_EQ(a.goodness, b.goodness) << "merge " << m;
   }
-  EXPECT_EQ(hashed.clustering.assignment, other.clustering.assignment);
-  ASSERT_EQ(hashed.clustering.num_clusters(), other.clustering.num_clusters());
-  for (size_t c = 0; c < hashed.clustering.num_clusters(); ++c) {
-    EXPECT_EQ(hashed.clustering.clusters[c], other.clustering.clusters[c])
+  EXPECT_EQ(reference.clustering.assignment, other.clustering.assignment);
+  ASSERT_EQ(reference.clustering.num_clusters(),
+            other.clustering.num_clusters());
+  for (size_t c = 0; c < reference.clustering.num_clusters(); ++c) {
+    EXPECT_EQ(reference.clustering.clusters[c], other.clustering.clusters[c])
         << "cluster " << c;
   }
-  EXPECT_EQ(hashed.stats.num_points, other.stats.num_points);
-  EXPECT_EQ(hashed.stats.num_pruned_points, other.stats.num_pruned_points);
-  EXPECT_EQ(hashed.stats.num_weeded_clusters,
+  EXPECT_EQ(reference.stats.num_points, other.stats.num_points);
+  EXPECT_EQ(reference.stats.num_pruned_points, other.stats.num_pruned_points);
+  EXPECT_EQ(reference.stats.num_weeded_clusters,
             other.stats.num_weeded_clusters);
-  EXPECT_EQ(hashed.stats.num_weeded_points, other.stats.num_weeded_points);
-  EXPECT_EQ(hashed.stats.num_merges, other.stats.num_merges);
-  EXPECT_DOUBLE_EQ(hashed.stats.criterion_value,
+  EXPECT_EQ(reference.stats.num_weeded_points, other.stats.num_weeded_points);
+  EXPECT_EQ(reference.stats.num_merges, other.stats.num_merges);
+  EXPECT_DOUBLE_EQ(reference.stats.criterion_value,
                    other.stats.criterion_value);
+}
+
+// Runs `opt` through RockClusterer and through ReferenceCluster and
+// asserts both runs identical, with the production engine's own
+// bookkeeping oracle clean.
+void ExpectMatchesReference(const PointSimilarity& sim,
+                            const RockOptions& opt) {
+  auto reference = ReferenceCluster(sim, opt);
+  ASSERT_TRUE(reference.ok());
+  auto production = RockClusterer(opt).Cluster(sim);
+  ASSERT_TRUE(production.ok());
+
+  ExpectRunsIdentical(*reference, *production);
+  EXPECT_EQ(reference->metrics.CounterOr("diag.invariant_violations"), 0u);
+  EXPECT_EQ(production->metrics.CounterOr("diag.invariant_violations"), 0u);
+  if (opt.diag.invariant_check_every > 0) {
+    EXPECT_GT(production->metrics.CounterOr("diag.invariant_checks"), 0u);
+  }
 }
 
 // θ × graph-thread-count grid, with outlier pruning and weeding enabled so
@@ -204,21 +228,10 @@ TEST_P(MergeEngineDifferentialTest, ParallelMatchesHashedOracle) {
   opt.num_clusters = 3;
   opt.outlier_stop_multiple = 3.0;
   opt.min_cluster_support = 4;
-  opt.num_threads = threads;
+  opt.graph_threads = threads;
   opt.row_chunk = 5;  // force many scheduling steps on a small input
   opt.diag.invariant_check_every = 7;
-
-  opt.merge_engine = MergeEngineKind::kHashed;
-  auto hashed = RockClusterer(opt).Cluster(sim);
-  ASSERT_TRUE(hashed.ok());
-  opt.merge_engine = MergeEngineKind::kParallel;
-  auto parallel = RockClusterer(opt).Cluster(sim);
-  ASSERT_TRUE(parallel.ok());
-
-  ExpectRunsIdentical(*hashed, *parallel);
-  EXPECT_EQ(hashed->metrics.CounterOr("diag.invariant_violations"), 0u);
-  EXPECT_EQ(parallel->metrics.CounterOr("diag.invariant_violations"), 0u);
-  EXPECT_GT(parallel->metrics.CounterOr("diag.invariant_checks"), 0u);
+  ExpectMatchesReference(sim, opt);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -248,16 +261,7 @@ TEST_P(MergeEngineSeedTest, ParallelMatchesHashedAcrossDatasets) {
   opt.outlier_stop_multiple = 2.0;
   opt.min_cluster_support = 3;
   opt.diag.invariant_check_every = 5;
-
-  opt.merge_engine = MergeEngineKind::kHashed;
-  auto hashed = RockClusterer(opt).Cluster(sim);
-  ASSERT_TRUE(hashed.ok());
-  opt.merge_engine = MergeEngineKind::kParallel;
-  auto parallel = RockClusterer(opt).Cluster(sim);
-  ASSERT_TRUE(parallel.ok());
-
-  ExpectRunsIdentical(*hashed, *parallel);
-  EXPECT_EQ(parallel->metrics.CounterOr("diag.invariant_violations"), 0u);
+  ExpectMatchesReference(sim, opt);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MergeEngineSeedTest,
@@ -290,28 +294,17 @@ TEST(MergeEngineEdgeCaseTest, DegenerateGraphsAgree) {
     opt.theta = c.theta;
     opt.num_clusters = 2;
     opt.diag.invariant_check_every = 3;
-    opt.merge_engine = MergeEngineKind::kHashed;
-    auto hashed = RockClusterer(opt).Cluster(sim);
-    ASSERT_TRUE(hashed.ok());
-    opt.merge_engine = MergeEngineKind::kParallel;
-    auto parallel = RockClusterer(opt).Cluster(sim);
-    ASSERT_TRUE(parallel.ok());
-    ExpectRunsIdentical(*hashed, *parallel);
-    EXPECT_EQ(parallel->metrics.CounterOr("diag.invariant_violations"), 0u);
+    ExpectMatchesReference(sim, opt);
   }
 }
 
 // ---------------------------------------------- parallel-engine differential --
 
-// The production merge engine layers lazy best-cleaning with upper-bound
-// priorities, the memoized goodness table, elided heap fixups and periodic
-// dead-entry compaction over the Fig. 3 loop, and every one of them must
-// be invisible in the output against BOTH oracles: the hashed merge engine
-// over the same link table, and the fully paper-literal path (scalar
-// neighbor sweep, hashed link scatter, serial graph phases, hashed merge
-// engine). The thread axis runs the neighbor-graph and link phases with
-// 1, 4 and 8 workers, so the engine consumes link tables built under every
-// scheduling of the graph phases.
+// The same contract over a wider grid: the thread axis runs the neighbor
+// and link phases with 1, 4 and 8 workers, so the merge engine consumes
+// graphs and link tables built under every scheduling of the graph
+// phases, with and without the weeding pause. The suite names predate
+// the single reference; they no longer name two oracles.
 
 RockOptions ParallelGridOptions(double theta, size_t threads, bool weeding) {
   RockOptions opt;
@@ -321,38 +314,14 @@ RockOptions ParallelGridOptions(double theta, size_t threads, bool weeding) {
     opt.outlier_stop_multiple = 3.0;
     opt.min_cluster_support = 4;
   }
-  opt.num_threads = threads;
+  opt.graph_threads = threads;
   opt.diag.invariant_check_every = 7;
   return opt;
 }
 
-// Runs `opt` under the production engine and under both oracles and
-// asserts all three runs identical.
-void ExpectParallelMatchesBothOracles(const TransactionJaccard& sim,
-                                      RockOptions opt) {
-  RockOptions literal = opt;
-  literal.neighbor_engine = NeighborEngineKind::kScalar;
-  literal.link_engine = LinkEngineKind::kHashed;
-  literal.num_threads = 1;
-  literal.merge_engine = MergeEngineKind::kHashed;
-  auto reference = RockClusterer(literal).Cluster(sim);
-  ASSERT_TRUE(reference.ok());
-  opt.merge_engine = MergeEngineKind::kHashed;
-  auto hashed = RockClusterer(opt).Cluster(sim);
-  ASSERT_TRUE(hashed.ok());
-  opt.merge_engine = MergeEngineKind::kParallel;
-  auto parallel = RockClusterer(opt).Cluster(sim);
-  ASSERT_TRUE(parallel.ok());
-
-  ExpectRunsIdentical(*hashed, *parallel);
-  ExpectRunsIdentical(*reference, *parallel);
-  EXPECT_EQ(parallel->metrics.CounterOr("diag.invariant_violations"), 0u);
-  EXPECT_GT(parallel->metrics.CounterOr("diag.invariant_checks"), 0u);
-}
-
 // θ × graph-threads × weeding grid: with and without the weeding pause, so
 // both the merge-only path and the WeedSmallClusters lazy-dirty path are
-// pinned to the references.
+// pinned to the reference.
 class ParallelEngineDifferentialTest
     : public ::testing::TestWithParam<std::tuple<double, size_t, bool>> {};
 
@@ -362,8 +331,7 @@ TEST_P(ParallelEngineDifferentialTest, ParallelMatchesBothOracles) {
   ROCK_TRACE_SEED(seed);
   TransactionDataset ds = RandomDataset(seed, 2);
   TransactionJaccard sim(ds);
-  ExpectParallelMatchesBothOracles(
-      sim, ParallelGridOptions(theta, threads, weeding));
+  ExpectMatchesReference(sim, ParallelGridOptions(theta, threads, weeding));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -382,8 +350,7 @@ INSTANTIATE_TEST_SUITE_P(
 // Varying datasets at the most threaded grid point (8 graph workers on ~70
 // points, weeding on): different seeds shuffle the merge order and the
 // dirty/clean pattern of the lazy best-cleaning. The test keeps the name
-// it had while the retired flat engine was its oracle; both oracles above
-// now stand in for it.
+// it had while the retired flat engine was its oracle.
 class ParallelEngineSeedTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ParallelEngineSeedTest, ParallelMatchesFlatAcrossDatasets) {
@@ -396,7 +363,7 @@ TEST_P(ParallelEngineSeedTest, ParallelMatchesFlatAcrossDatasets) {
   opt.outlier_stop_multiple = 2.0;
   opt.min_cluster_support = 3;
   opt.diag.invariant_check_every = 5;
-  ExpectParallelMatchesBothOracles(sim, opt);
+  ExpectMatchesReference(sim, opt);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelEngineSeedTest,
@@ -435,23 +402,26 @@ TEST(ParallelEngineEdgeCaseTest, DegenerateGraphsAgree) {
     RockOptions opt = ParallelGridOptions(c.theta, 8, false);
     opt.num_clusters = 2;
     opt.diag.invariant_check_every = 3;
-    ExpectParallelMatchesBothOracles(sim, opt);
+    ExpectMatchesReference(sim, opt);
   }
 }
 
 // ------------------------------------------------- link-engine differential --
 
-// The bit-plane link engine must be invisible to everything downstream:
-// with the link rows byte-identical, the merge sequence, clustering, stats
-// and labels of a full run cannot depend on --link-engine. Exercised across
-// both merge engines (parallel probes frozen CSR rows, hashed probes the
-// lazily materialized hash rows) so both row representations of the packed
-// output are covered end to end.
+// Which merge engine consumes the production neighbor graph (packed, 4
+// workers): `parallel` is RockClusterer end to end, so the packed link
+// rows feed the production merge; `hashed` runs the reference merge, with
+// its Fig. 4 links, over that same graph. Both must reproduce
+// ReferenceCluster, which builds its graph with the serial scalar sweep.
+// The values mirror the layout the parameter has always had, so the
+// listed test names are unchanged.
+enum class MergeImpl { kHashed, kParallel };
+
 class LinkEngineClusterDifferentialTest
-    : public ::testing::TestWithParam<std::tuple<double, MergeEngineKind>> {};
+    : public ::testing::TestWithParam<std::tuple<double, MergeImpl>> {};
 
 TEST_P(LinkEngineClusterDifferentialTest, PackedMatchesHashedEndToEnd) {
-  const auto [theta, merge_engine] = GetParam();
+  const auto [theta, merge_impl] = GetParam();
   const uint64_t seed = 20260808;
   ROCK_TRACE_SEED(seed);
   TransactionDataset ds = RandomDataset(seed, 2);
@@ -462,48 +432,55 @@ TEST_P(LinkEngineClusterDifferentialTest, PackedMatchesHashedEndToEnd) {
   opt.num_clusters = 3;
   opt.outlier_stop_multiple = 3.0;
   opt.min_cluster_support = 4;
-  opt.num_threads = 4;
+  opt.graph_threads = 4;
   opt.row_chunk = 5;
   opt.diag.invariant_check_every = 7;
-  opt.merge_engine = merge_engine;
 
-  opt.link_engine = LinkEngineKind::kHashed;
-  auto hashed = RockClusterer(opt).Cluster(sim);
-  ASSERT_TRUE(hashed.ok());
-  opt.link_engine = LinkEngineKind::kPacked;
+  auto reference = ReferenceCluster(sim, opt);
+  ASSERT_TRUE(reference.ok());
+  if (merge_impl == MergeImpl::kHashed) {
+    PackedNeighborOptions nopts;
+    nopts.num_threads = opt.graph_threads;
+    nopts.row_chunk = opt.row_chunk;
+    auto graph = ComputeNeighborsPacked(sim, theta, nopts);
+    ASSERT_TRUE(graph.ok());
+    const RockResult hashed = internal::RunHashedMergeEngine(*graph, opt);
+    ExpectRunsIdentical(*reference, hashed);
+    EXPECT_EQ(hashed.metrics.CounterOr("diag.invariant_violations"), 0u);
+    return;
+  }
   auto packed = RockClusterer(opt).Cluster(sim);
   ASSERT_TRUE(packed.ok());
-
-  ExpectRunsIdentical(*hashed, *packed);
+  ExpectRunsIdentical(*reference, *packed);
   EXPECT_EQ(packed->metrics.CounterOr("diag.invariant_violations"), 0u);
 
-  // Engine-selection accounting: only the packed run packs bit planes, and
+  // Link-stage accounting: only the production run packs bit planes, and
   // its candidate enumeration is exact (every candidate pair is stored).
   EXPECT_EQ(packed->metrics.CounterOr("links.candidate_pairs"),
             packed->metrics.CounterOr("links.pairs_counted"));
   ASSERT_NE(packed->metrics.FindTimer("stage.links.pack"), nullptr);
-  EXPECT_EQ(hashed->metrics.FindTimer("stage.links.pack"), nullptr);
+  EXPECT_EQ(reference->metrics.FindTimer("stage.links.pack"), nullptr);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     ThetaByMergeEngine, LinkEngineClusterDifferentialTest,
     ::testing::Combine(::testing::Values(0.2, 0.5, 0.8),
-                       ::testing::Values(MergeEngineKind::kParallel,
-                                         MergeEngineKind::kHashed)),
+                       ::testing::Values(MergeImpl::kParallel,
+                                         MergeImpl::kHashed)),
     [](const ::testing::TestParamInfo<
         LinkEngineClusterDifferentialTest::ParamType>& param) {
       const double theta = std::get<0>(param.param);
       return "theta" + std::to_string(static_cast<int>(theta * 10)) +
-             (std::get<1>(param.param) == MergeEngineKind::kParallel
-                  ? "_parallel"
-                  : "_hashed");
+             (std::get<1>(param.param) == MergeImpl::kParallel ? "_parallel"
+                                                               : "_hashed");
     });
 
-// Full disk pipeline: --link-engine packed vs hashed must deliver identical
-// MergeRecords and final labels, including when a packed run crashes at a
-// checkpoint and is resumed with the *other* engine — the link engine is
-// below the checkpoint's fingerprint, so a cross-engine resume must still
-// reproduce the uninterrupted run bit for bit.
+// Full disk pipeline: its sample's MergeRecords and clustering must match
+// ReferenceCluster on that same sample, at any graph thread count, and a
+// run that crashes at a checkpoint must resume into the uninterrupted
+// result bit for bit. Thread counts live below the checkpoint's
+// fingerprint, so a resume may change them. The tests keep the names they
+// had while the pipeline could switch link and merge engines.
 class LinkEnginePipelineTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -538,11 +515,11 @@ class LinkEnginePipelineTest : public ::testing::Test {
     std::remove((ckpt_path_ + ".tmp").c_str());
   }
 
-  PipelineOptions Options(LinkEngineKind engine) const {
+  PipelineOptions Options(size_t graph_threads) const {
     PipelineOptions opt;
     opt.rock.theta = 0.5;
     opt.rock.num_clusters = 3;
-    opt.rock.link_engine = engine;
+    opt.rock.graph_threads = graph_threads;
     opt.sample_size = 60;
     opt.seed = 2026;
     opt.labeling.seed = 11;
@@ -570,109 +547,79 @@ class LinkEnginePipelineTest : public ::testing::Test {
     EXPECT_EQ(a.labeling.num_outliers, b.labeling.num_outliers);
   }
 
+  // Reads the pipeline's sample back from the store (its rows, in store
+  // order) and asserts ReferenceCluster on it reproduces the pipeline's
+  // sample clustering.
+  void ExpectSampleMatchesReference(const PipelineResult& run) const {
+    auto sample = ReadStoreRows(store_path_, run.sample_rows);
+    ASSERT_TRUE(sample.ok()) << sample.status().ToString();
+    const TransactionJaccard sim(*sample);
+    auto reference = ReferenceCluster(sim, Options(1).rock);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ExpectRunsIdentical(*reference, run.sample_result);
+  }
+
+  // Crashes a run at its `crash_hit`-th checkpoint write with
+  // `crash_threads` graph workers, resumes it with `resume_threads`, and
+  // asserts the resumed run equals `baseline`.
+  void CrashAndResume(uint64_t crash_hit, size_t crash_threads,
+                      size_t resume_threads,
+                      const PipelineResult& baseline) const {
+    auto crashed_opt = Options(crash_threads);
+    crashed_opt.checkpoint_path = ckpt_path_;
+    crashed_opt.rock.failpoints = "pipeline.checkpoint=fire_on_hit_" +
+                                  std::to_string(crash_hit) + ":crash";
+    auto crashed = RunRockPipeline(store_path_, crashed_opt);
+    ASSERT_FALSE(crashed.ok()) << "the injected crash must abort the run";
+    ASSERT_TRUE(fail::IsInjectedCrash(crashed.status()))
+        << crashed.status().ToString();
+
+    // "Restart the process" and resume.
+    fail::Clear();
+    auto resumed_opt = Options(resume_threads);
+    resumed_opt.checkpoint_path = ckpt_path_;
+    resumed_opt.resume = true;
+    auto resumed = RunRockPipeline(store_path_, resumed_opt);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    EXPECT_EQ(resumed->resumed, crash_hit > 1);
+    ExpectPipelinesIdentical(*resumed, baseline);
+  }
+
   std::string store_path_;
   std::string ckpt_path_;
 };
 
 TEST_F(LinkEnginePipelineTest, PackedAndHashedPipelinesAreIdentical) {
-  auto packed = RunRockPipeline(store_path_, Options(LinkEngineKind::kPacked));
-  ASSERT_TRUE(packed.ok()) << packed.status().ToString();
-  auto hashed = RunRockPipeline(store_path_, Options(LinkEngineKind::kHashed));
-  ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
-  ExpectPipelinesIdentical(*packed, *hashed);
+  auto serial = RunRockPipeline(store_path_, Options(1));
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ExpectSampleMatchesReference(*serial);
+  auto threaded = RunRockPipeline(store_path_, Options(4));
+  ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
+  ExpectPipelinesIdentical(*threaded, *serial);
 }
 
+// A run crashed at its shard checkpoint with threaded graph phases resumes
+// serially into the uninterrupted run, and the mirror image.
 TEST_F(LinkEnginePipelineTest, CrossEngineResumeMatchesUninterruptedRun) {
   if (!fail::BuildEnabled()) GTEST_SKIP() << "failpoints compiled out";
-  auto baseline =
-      RunRockPipeline(store_path_, Options(LinkEngineKind::kHashed));
+  auto baseline = RunRockPipeline(store_path_, Options(1));
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-
-  // Crash a packed-engine run at its second checkpoint write...
-  auto crashed_opt = Options(LinkEngineKind::kPacked);
-  crashed_opt.checkpoint_path = ckpt_path_;
-  crashed_opt.rock.failpoints = "pipeline.checkpoint=fire_on_hit_2:crash";
-  auto crashed = RunRockPipeline(store_path_, crashed_opt);
-  ASSERT_FALSE(crashed.ok()) << "the injected crash must abort the run";
-  ASSERT_TRUE(fail::IsInjectedCrash(crashed.status()))
-      << crashed.status().ToString();
-
-  // ...then "restart the process" and resume with the hashed engine.
-  fail::Clear();
-  auto resumed_opt = Options(LinkEngineKind::kHashed);
-  resumed_opt.checkpoint_path = ckpt_path_;
-  resumed_opt.resume = true;
-  auto resumed = RunRockPipeline(store_path_, resumed_opt);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_TRUE(resumed->resumed);
-  ExpectPipelinesIdentical(*resumed, *baseline);
-
-  // And the mirror image: hashed crash, packed resume.
-  auto crashed2_opt = Options(LinkEngineKind::kHashed);
-  crashed2_opt.checkpoint_path = ckpt_path_;
-  crashed2_opt.rock.failpoints = "pipeline.checkpoint=fire_on_hit_2:crash";
-  auto crashed2 = RunRockPipeline(store_path_, crashed2_opt);
-  ASSERT_FALSE(crashed2.ok());
-  ASSERT_TRUE(fail::IsInjectedCrash(crashed2.status()));
-  fail::Clear();
-  auto resumed2_opt = Options(LinkEngineKind::kPacked);
-  resumed2_opt.checkpoint_path = ckpt_path_;
-  resumed2_opt.resume = true;
-  auto resumed2 = RunRockPipeline(store_path_, resumed2_opt);
-  ASSERT_TRUE(resumed2.ok()) << resumed2.status().ToString();
-  EXPECT_TRUE(resumed2->resumed);
-  ExpectPipelinesIdentical(*resumed2, *baseline);
+  ExpectSampleMatchesReference(*baseline);
+  CrashAndResume(2, 4, 1, *baseline);
+  CrashAndResume(2, 1, 4, *baseline);
 }
 
-// Crash/resume across *merge* engines: a run that crashes mid-pipeline
-// under the production engine must resume under the hashed reference into
-// the exact uninterrupted result, and vice versa — the merge engine, like
-// the link engine, lives below the checkpoint fingerprint.
+// Both crash points of a one-shard run: before the first checkpoint lands
+// (resume falls back to a fresh run) and at the shard checkpoint (resume
+// restores the sample's merges from disk). Either way the result is the
+// uninterrupted run, and so matches the reference.
 TEST_F(LinkEnginePipelineTest, ParallelMergeResumeMatchesUninterruptedRun) {
   if (!fail::BuildEnabled()) GTEST_SKIP() << "failpoints compiled out";
-  auto baseline_opt = Options(LinkEngineKind::kHashed);
-  baseline_opt.rock.merge_engine = MergeEngineKind::kHashed;
-  auto baseline = RunRockPipeline(store_path_, baseline_opt);
+  auto baseline = RunRockPipeline(store_path_, Options(1));
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-
-  // Crash a production-engine run at its second checkpoint write...
-  auto crashed_opt = Options(LinkEngineKind::kHashed);
-  crashed_opt.rock.merge_engine = MergeEngineKind::kParallel;
-  crashed_opt.checkpoint_path = ckpt_path_;
-  crashed_opt.rock.failpoints = "pipeline.checkpoint=fire_on_hit_2:crash";
-  auto crashed = RunRockPipeline(store_path_, crashed_opt);
-  ASSERT_FALSE(crashed.ok()) << "the injected crash must abort the run";
-  ASSERT_TRUE(fail::IsInjectedCrash(crashed.status()))
-      << crashed.status().ToString();
-
-  // ...then resume it with the hashed reference.
-  fail::Clear();
-  auto resumed_opt = Options(LinkEngineKind::kHashed);
-  resumed_opt.rock.merge_engine = MergeEngineKind::kHashed;
-  resumed_opt.checkpoint_path = ckpt_path_;
-  resumed_opt.resume = true;
-  auto resumed = RunRockPipeline(store_path_, resumed_opt);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_TRUE(resumed->resumed);
-  ExpectPipelinesIdentical(*resumed, *baseline);
-
-  // Mirror image: hashed crash, production-engine resume.
-  auto crashed2_opt = Options(LinkEngineKind::kHashed);
-  crashed2_opt.rock.merge_engine = MergeEngineKind::kHashed;
-  crashed2_opt.checkpoint_path = ckpt_path_;
-  crashed2_opt.rock.failpoints = "pipeline.checkpoint=fire_on_hit_2:crash";
-  auto crashed2 = RunRockPipeline(store_path_, crashed2_opt);
-  ASSERT_FALSE(crashed2.ok());
-  ASSERT_TRUE(fail::IsInjectedCrash(crashed2.status()));
-  fail::Clear();
-  auto resumed2_opt = Options(LinkEngineKind::kHashed);
-  resumed2_opt.rock.merge_engine = MergeEngineKind::kParallel;
-  resumed2_opt.checkpoint_path = ckpt_path_;
-  resumed2_opt.resume = true;
-  auto resumed2 = RunRockPipeline(store_path_, resumed2_opt);
-  ASSERT_TRUE(resumed2.ok()) << resumed2.status().ToString();
-  EXPECT_TRUE(resumed2->resumed);
-  ExpectPipelinesIdentical(*resumed2, *baseline);
+  ExpectSampleMatchesReference(*baseline);
+  CrashAndResume(2, 1, 1, *baseline);
+  CrashAndResume(1, 1, 1, *baseline);
 }
 
 // ------------------------------------------------------------- edge cases --

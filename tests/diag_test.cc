@@ -285,7 +285,7 @@ TEST(DiagRockRunTest, CheckedRunWithWeedingAndThreads) {
   opt.num_clusters = 3;
   opt.outlier_stop_multiple = 3.0;
   opt.min_cluster_support = 4;
-  opt.num_threads = 4;
+  opt.graph_threads = 4;
   opt.diag.invariant_check_every = 3;
   auto result = RockClusterer(opt).Cluster(sim);
   ASSERT_TRUE(result.ok());

@@ -234,16 +234,16 @@ TEST(LinkMatrixCsrTest, FuzzFlatRowsMatchHashRows) {
 // verbatim against each engine's output. The parameter is plain
 // data with no pointers or padding: the test names that gtest lists embed a
 // byte dump of it, and those names must be the same on every build.
-enum class LinkEngineKind : uint64_t { kHashed, kPacked };
+enum class LinkImpl : uint64_t { kHashed, kPacked };
 
 struct EngineCase {
-  LinkEngineKind engine;
+  LinkImpl engine;
   uint32_t num_threads;  // packed engine only
   uint32_t row_chunk;    // packed engine only
 };
 
 LinkMatrix BuildLinks(const EngineCase& c, const NeighborGraph& g) {
-  if (c.engine == LinkEngineKind::kHashed) return ComputeLinks(g);
+  if (c.engine == LinkImpl::kHashed) return ComputeLinks(g);
   PackedLinkOptions opt;
   opt.num_threads = c.num_threads;
   opt.row_chunk = c.row_chunk;
@@ -331,11 +331,11 @@ TEST_P(LinkEngineInvariantTest, FreezeIsIdempotentOnEngineOutput) {
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, LinkEngineInvariantTest,
-    ::testing::Values(EngineCase{LinkEngineKind::kHashed, 0, 0},
-                      EngineCase{LinkEngineKind::kPacked, 4, 2}),
+    ::testing::Values(EngineCase{LinkImpl::kHashed, 0, 0},
+                      EngineCase{LinkImpl::kPacked, 4, 2}),
     [](const ::testing::TestParamInfo<EngineCase>& p) {
-      return std::string(p.param.engine == LinkEngineKind::kHashed ? "hashed"
-                                                                    : "packed");
+      return std::string(p.param.engine == LinkImpl::kHashed ? "hashed"
+                                                              : "packed");
     });
 
 // ------------------------------------------------------------------- fuzz --

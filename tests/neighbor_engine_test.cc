@@ -19,6 +19,7 @@
 #include "diag/metrics.h"
 #include "graph/neighbor_engine.h"
 #include "graph/neighbors.h"
+#include "reference_rock.h"
 #include "similarity/jaccard.h"
 #include "similarity/minhash.h"
 #include "similarity/packed.h"
@@ -841,6 +842,8 @@ TEST(NeighborEngineTest, RejectsBadTheta) {
 
 // --------------------------------------------------- clusterer integration --
 
+// RockClusterer always runs the packed engine; its clustering must equal
+// the reference's, whose graph comes from the scalar sweep.
 TEST(NeighborEngineTest, ClustererEnginesProduceIdenticalResults) {
   ROCK_SEEDED_RNG(rng, 41);
   const TransactionDataset dataset = RandomBaskets(80, 48, 12, 50, &rng);
@@ -848,14 +851,12 @@ TEST(NeighborEngineTest, ClustererEnginesProduceIdenticalResults) {
   RockOptions options;
   options.theta = 0.4;
   options.num_clusters = 5;
+  const auto scalar = ReferenceCluster(sim, options);
+  ASSERT_TRUE(scalar.ok());
   for (const size_t threads : {size_t{1}, size_t{3}}) {
-    options.num_threads = threads;
-    options.neighbor_engine = NeighborEngineKind::kPacked;
+    options.graph_threads = threads;
     const auto packed = RockClusterer(options).Cluster(sim);
     ASSERT_TRUE(packed.ok());
-    options.neighbor_engine = NeighborEngineKind::kScalar;
-    const auto scalar = RockClusterer(options).Cluster(sim);
-    ASSERT_TRUE(scalar.ok());
     EXPECT_EQ(packed->clustering.assignment, scalar->clustering.assignment);
     EXPECT_EQ(packed->merges.size(), scalar->merges.size());
     // The packed run reports its pruning accounting through RockResult.

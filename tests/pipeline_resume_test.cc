@@ -7,7 +7,7 @@
 // plans, label-thread counts and θ. Plus checkpoint format round-trip and
 // corruption handling (a torn or bit-rotted checkpoint must cause a clean
 // restart, never wrong labels), and the end-to-end golden-determinism
-// check across merge engines and thread counts.
+// check across thread counts against the paper-literal reference.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -24,6 +24,8 @@
 #include "data/dataset.h"
 #include "data/disk_store.h"
 #include "data/transaction.h"
+#include "reference_rock.h"
+#include "similarity/jaccard.h"
 #include "test_support.h"
 #include "util/failpoint.h"
 
@@ -253,28 +255,31 @@ TEST_F(PipelineResumeTest, LoadCheckpointRejectsEveryCorruptionShape) {
 
 // ---------------------------------------------------------------------------
 // Golden determinism (satellite): same seed → identical labels and merge
-// history across merge engines and label-thread counts.
+// history across label-thread counts, and the sample's merge history and
+// clustering equal to the paper-literal reference on that sample. The
+// test keeps the name it had while the pipeline could switch merge
+// engines.
 
 TEST_F(PipelineResumeTest, GoldenDeterminismAcrossEnginesAndThreads) {
-  auto golden_opt = BaseOptions(0.5, 1);
-  golden_opt.rock.merge_engine = MergeEngineKind::kParallel;
-  auto golden = RunRockPipeline(store_path_, golden_opt);
+  auto golden = RunRockPipeline(store_path_, BaseOptions(0.5, 1));
   ASSERT_TRUE(golden.ok()) << golden.status().ToString();
 
-  for (MergeEngineKind engine :
-       {MergeEngineKind::kParallel, MergeEngineKind::kHashed}) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "engine="
-                   << (engine == MergeEngineKind::kParallel ? "parallel"
-                                                            : "hashed")
-                   << " label_threads=" << threads);
-      auto opt = BaseOptions(0.5, threads);
-      opt.rock.merge_engine = engine;
-      auto got = RunRockPipeline(store_path_, opt);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ExpectSameOutputs(*got, *golden);
-    }
+  auto sample = ReadStoreRows(store_path_, golden->sample_rows);
+  ASSERT_TRUE(sample.ok()) << sample.status().ToString();
+  const TransactionJaccard sim(*sample);
+  auto reference = ReferenceCluster(sim, BaseOptions(0.5, 1).rock);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ExpectMergesEq(reference->merges, golden->sample_result.merges);
+  EXPECT_EQ(reference->clustering.assignment,
+            golden->sample_result.clustering.assignment);
+  EXPECT_EQ(reference->clustering.clusters,
+            golden->sample_result.clustering.clusters);
+
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(::testing::Message() << "label_threads=" << threads);
+    auto got = RunRockPipeline(store_path_, BaseOptions(0.5, threads));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectSameOutputs(*got, *golden);
   }
 }
 

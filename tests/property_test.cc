@@ -199,7 +199,7 @@ TEST_P(RockPropertyTest, ThreadCountDoesNotChangeResult) {
   auto serial = RockClusterer(opt).Cluster(sim);
   ASSERT_TRUE(serial.ok());
   for (size_t threads : {2u, 4u}) {
-    opt.num_threads = threads;
+    opt.graph_threads = threads;
     auto parallel = RockClusterer(opt).Cluster(sim);
     ASSERT_TRUE(parallel.ok());
     EXPECT_EQ(parallel->clustering.assignment,

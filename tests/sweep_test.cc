@@ -132,13 +132,19 @@ TEST_F(SweepCliTest, LshAndThreadsFlagsWork) {
   out.clear();
   const int code =
       RunCli({"cluster", "--input=" + Path("b.store"), "--format=store",
-              "--theta=0.5", "--k=10", "--neighbor-engine=lsh",
-              "--threads=2"},
+              "--theta=0.5", "--k=10", "--threads=2"},
              &out);
   ASSERT_EQ(code, 0) << out;
   EXPECT_NE(out.find("clusters:"), std::string::npos);
-  // `rock cluster` has no --neighbors flag; --neighbor-engine=lsh is the
-  // one LSH path.
+  // The clusterer's neighbor pass is always exact: `rock cluster` has
+  // neither a --neighbors flag nor the retired --neighbor-engine.
+  out.clear();
+  EXPECT_EQ(RunCli({"cluster", "--input=" + Path("b.store"),
+                    "--format=store", "--theta=0.5", "--k=10",
+                    "--neighbor-engine=lsh"},
+                   &out),
+            2);
+  EXPECT_NE(out.find("unknown flag --neighbor-engine"), std::string::npos);
   out.clear();
   EXPECT_EQ(RunCli({"cluster", "--input=" + Path("b.store"),
                     "--format=store", "--neighbors=lsh"},

@@ -6,10 +6,11 @@
 # a >25% regression of the geometric-mean ratio:
 #
 #   1. merge engines — bench_fig5_scalability at a small scale with
-#      --compare-engines (every (n, θ) cell under the default `parallel`
-#      merge engine and the hashed reference, whose MergeRecords are
-#      differentially pinned to each other in
-#      tests/diag_differential_test.cc); gates on the hashed/parallel
+#      --compare-engines --reps=3 (every (n, θ) cell under the production
+#      `parallel` merge engine and the hashed reference, whose
+#      MergeRecords are differentially pinned to each other in
+#      tests/diag_differential_test.cc; each keeps its smallest
+#      stage.merge of three runs); gates on the hashed/parallel
 #      stage.merge speedup vs bench/baselines/BENCH_rock_smoke.json.
 #   2. neighbor engines — bench_neighbors_ablation --compare-engines
 #      (packed bit-plane engine vs the scalar per-pair oracle, graphs
@@ -69,9 +70,10 @@ cmake --build "$BUILD_DIR" -j --target bench_fig5_scalability \
     bench_neighbors_ablation bench_links_ablation bench_serve \
     bench_graph_scale bench_stream
 
-echo "=== perf-smoke: bench_fig5_scalability $SCALE --compare-engines ==="
+echo "=== perf-smoke: bench_fig5_scalability $SCALE --compare-engines --reps=3 ==="
 ROCK_BENCH_JSON="$REPORT" \
-    "$BUILD_DIR/bench/bench_fig5_scalability" "$SCALE" --compare-engines
+    "$BUILD_DIR/bench/bench_fig5_scalability" "$SCALE" --compare-engines \
+    --reps=3
 
 echo "=== perf-smoke: gate vs $BASELINE ==="
 python3 tools/check_perf_regression.py "$REPORT" "$BASELINE" \
