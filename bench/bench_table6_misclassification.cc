@@ -118,9 +118,10 @@ int main(int argc, char** argv) {
   // ------------------------------------------------------ labeling engine --
   // §4.6 labeling throughput over the full store: the pre-index brute-force
   // scan (AssignUnpruned per row, the seed engine) vs the sharded LabelStore
-  // engine with candidate pruning, serial and at 8 threads. All three must
-  // produce identical assignments.
-  bench::Banner("labeling engine — brute force vs pruned, serial vs sharded");
+  // engine with the bit-sliced kernel, serial and at 4 threads. All three
+  // must produce identical assignments.
+  bench::Banner(
+      "labeling engine — brute force vs bit-sliced, serial vs sharded");
   {
     const double theta = 0.5;
     const size_t sample_size = static_cast<size_t>(
@@ -187,14 +188,14 @@ int main(int argc, char** argv) {
     serial_opt.metrics = &metrics;
     auto serial = LabelStore(store_path.string(), *labeler, serial_opt);
     LabelStoreOptions wide_opt;
-    wide_opt.num_threads = 8;
+    wide_opt.num_threads = 4;
     auto wide = LabelStore(store_path.string(), *labeler, wide_opt);
     if (!serial.ok() || !wide.ok()) {
       std::fprintf(stderr, "label scan failed\n");
       return 1;
     }
     if (serial->assignments != brute || wide->assignments != brute) {
-      std::fprintf(stderr, "ENGINE MISMATCH: pruned/sharded assignments "
+      std::fprintf(stderr, "ENGINE MISMATCH: bit-sliced/sharded assignments "
                            "differ from brute force\n");
       return 1;
     }
@@ -205,11 +206,11 @@ int main(int argc, char** argv) {
                 "speedup");
     std::printf("%-28s %10.3f %14.0f %9s\n", "brute force (seed engine)",
                 brute_s, rows / brute_s, "1.0x");
-    std::printf("%-28s %10.3f %14.0f %8.1fx\n", "pruned, 1 thread",
+    std::printf("%-28s %10.3f %14.0f %8.1fx\n", "bit-sliced, 1 thread",
                 serial->seconds, rows / serial->seconds,
                 brute_s / serial->seconds);
     std::printf("%-28s %10.3f %14.0f %8.1fx  (%zu shards)\n",
-                "pruned, 8 threads", wide->seconds, rows / wide->seconds,
+                "bit-sliced, 4 threads", wide->seconds, rows / wide->seconds,
                 brute_s / wide->seconds, wide->shards);
     size_t labeling_points = 0;
     for (size_t c = 0; c < labeler->num_clusters(); ++c) {

@@ -20,9 +20,10 @@ constexpr long kCrcOffset = kCountOffset + static_cast<long>(sizeof(uint64_t));
 constexpr long kHeaderSizeV2 = kCrcOffset + static_cast<long>(sizeof(uint32_t));
 constexpr long kHeaderSize = kHeaderSizeV2 + 2 * static_cast<long>(sizeof(uint64_t));
 
-// Sanity bound on items-per-transaction to catch corrupt length fields
-// before they turn into huge allocations.
-constexpr uint32_t kMaxTransactionItems = 1u << 24;
+// A record is a label and an item count n, then n item ids.
+constexpr size_t kRecordHeader = sizeof(LabelId) + sizeof(uint32_t);
+// Readers decode out of a block this large, refilled by one fread.
+constexpr size_t kBlockSize = size_t{1} << 16;
 
 Status WriteRaw(std::FILE* f, const void* data, size_t n) {
   if (std::fwrite(data, 1, n, f) != n) {
@@ -31,10 +32,42 @@ Status WriteRaw(std::FILE* f, const void* data, size_t n) {
   return Status::OK();
 }
 
+Status ShortRead() {
+  return Status::Corruption("short read from transaction store");
+}
+
 Status ReadRaw(std::FILE* f, void* data, size_t n) {
-  if (std::fread(data, 1, n, f) != n) {
-    return Status::Corruption("short read from transaction store");
+  if (std::fread(data, 1, n, f) != n) return ShortRead();
+  return Status::OK();
+}
+
+/// InvalidArgument for a row the readers would refuse as implausible.
+Status CheckRowLength(const Transaction& tx) {
+  if (tx.size() > kMaxTransactionItems) {
+    return Status::InvalidArgument(
+        "transaction of " + std::to_string(tx.size()) +
+        " items exceeds the store limit of " +
+        std::to_string(kMaxTransactionItems));
   }
+  return Status::OK();
+}
+
+/// Writes one record (length checked by CheckRowLength) through the
+/// "store.append" failpoint site — whose torn variant persists a prefix of
+/// the item payload, leaving the file exactly as a writer crash would —
+/// and folds its bytes into `crc`.
+Status WriteRecord(std::FILE* f, const Transaction& tx, LabelId label,
+                   Crc32Accumulator* crc) {
+  const uint32_t n = static_cast<uint32_t>(tx.size());
+  const size_t payload = size_t{n} * sizeof(ItemId);
+  ROCK_RETURN_IF_ERROR(
+      fail::ConsultWrite("store.append", f, tx.items().data(), payload));
+  ROCK_RETURN_IF_ERROR(WriteRaw(f, &label, sizeof(label)));
+  ROCK_RETURN_IF_ERROR(WriteRaw(f, &n, sizeof(n)));
+  if (n > 0) ROCK_RETURN_IF_ERROR(WriteRaw(f, tx.items().data(), payload));
+  crc->Update(&label, sizeof(label));
+  crc->Update(&n, sizeof(n));
+  if (n > 0) crc->Update(tx.items().data(), payload);
   return Status::OK();
 }
 
@@ -108,22 +141,8 @@ Status TransactionStoreWriter::Append(const Transaction& tx, LabelId label) {
   if (finished_) {
     return Status::FailedPrecondition("Append after Finish");
   }
-  std::FILE* f = file_.get();
-  uint32_t n = static_cast<uint32_t>(tx.size());
-  // Failpoint "store.append": the torn variant persists a prefix of the
-  // item payload, leaving the file exactly as a writer crash would.
-  ROCK_RETURN_IF_ERROR(
-      fail::ConsultWrite("store.append", f, tx.items().data(),
-                         static_cast<size_t>(n) * sizeof(ItemId)));
-  ROCK_RETURN_IF_ERROR(WriteRaw(f, &label, sizeof(label)));
-  ROCK_RETURN_IF_ERROR(WriteRaw(f, &n, sizeof(n)));
-  if (n > 0) {
-    ROCK_RETURN_IF_ERROR(
-        WriteRaw(f, tx.items().data(), n * sizeof(ItemId)));
-  }
-  crc_.Update(&label, sizeof(label));
-  crc_.Update(&n, sizeof(n));
-  if (n > 0) crc_.Update(tx.items().data(), n * sizeof(ItemId));
+  ROCK_RETURN_IF_ERROR(CheckRowLength(tx));
+  ROCK_RETURN_IF_ERROR(WriteRecord(file_.get(), tx, label, &crc_));
   ++count_;
   return Status::OK();
 }
@@ -166,6 +185,7 @@ Result<TransactionStoreReader> TransactionStoreReader::Open(
   reader.generation_ = h.generation;
   reader.base_count_ = h.base_count;
   reader.start_offset_ = h.header_size;
+  reader.block_offset_ = static_cast<uint64_t>(h.header_size);
   reader.verify_full_ = true;
   return reader;
 }
@@ -191,6 +211,7 @@ Result<TransactionStoreReader> TransactionStoreReader::OpenRange(
   reader.generation_ = h.generation;
   reader.base_count_ = h.base_count;
   reader.start_offset_ = static_cast<long>(range.byte_offset);
+  reader.block_offset_ = range.byte_offset;
   return reader;
 }
 
@@ -199,82 +220,94 @@ Result<std::vector<StoreShardRange>> TransactionStoreReader::PlanShards(
   if (max_shards == 0) {
     return Status::InvalidArgument("max_shards must be > 0");
   }
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
-      std::fopen(path.c_str(), "rb"), &std::fclose);
-  if (file == nullptr) {
-    return Status::IOError("cannot open '" + path + "'");
-  }
-  std::FILE* f = file.get();
-  ROCK_RETURN_IF_ERROR(fail::ConsultRead("store.open"));
-  StoreHeader h;
-  ROCK_RETURN_IF_ERROR(ReadHeader(f, path, &h));
-  const uint64_t count = h.count;
-
+  Result<TransactionStoreReader> reader = Open(path);
+  ROCK_RETURN_IF_ERROR(reader.status());
+  reader->verify_full_ = false;  // the walk skips payloads: nothing to sum
+  const uint64_t count = reader->count_;
   std::vector<StoreShardRange> shards;
   if (count == 0) return shards;
   const uint64_t num_shards = std::min<uint64_t>(max_shards, count);
   // Rows r in [s·count/S, (s+1)·count/S) go to shard s: near-equal ranges
-  // whose boundaries we resolve to byte offsets during one header-skipping
-  // scan of the record stream. Each record is a label, an item count n and
-  // n item ids, so the next header sits 8 + 4n bytes on. The scan reads
-  // sequentially through its own window (a seek per record would drop
-  // stdio's buffer every time) and seeks only past payloads that outrun
-  // the window.
-  constexpr size_t kRecordHeader = sizeof(LabelId) + sizeof(uint32_t);
-  std::vector<unsigned char> window(size_t{1} << 16);
-  uint64_t offset = static_cast<uint64_t>(h.header_size);
-  uint64_t window_offset = offset;  // file offset of window[0]
-  size_t window_len = 0;
-  uint64_t next_shard = 0;
-  for (uint64_t row = 0; row < count; ++row) {
-    if (row == next_shard * count / num_shards) {
-      const uint64_t end = (next_shard + 1) * count / num_shards;
-      shards.push_back(StoreShardRange{offset, row, end - row});
-      ++next_shard;
-    }
-    const uint64_t window_end = window_offset + window_len;
-    if (offset + kRecordHeader > window_end) {
-      size_t keep = 0;
-      if (offset < window_end) {
-        keep = static_cast<size_t>(window_end - offset);
-        std::memmove(window.data(),
-                     window.data() + (offset - window_offset), keep);
-      } else if (offset > window_end &&
-                 std::fseek(f, static_cast<long>(offset), SEEK_SET) != 0) {
-        return Status::IOError("seek failure planning store shards");
-      }
-      window_offset = offset;
-      window_len =
-          keep + std::fread(window.data() + keep, 1, window.size() - keep, f);
-      if (window_len < kRecordHeader) {
-        return Status::Corruption("short read from transaction store");
-      }
-    }
-    uint32_t n = 0;
-    std::memcpy(&n, window.data() + (offset - window_offset) + sizeof(LabelId),
-                sizeof(n));
-    if (n > kMaxTransactionItems) {
-      return Status::Corruption("implausible transaction length " +
-                                std::to_string(n));
-    }
-    offset += kRecordHeader + static_cast<uint64_t>(n) * sizeof(ItemId);
+  // whose first rows are resolved to byte offsets by walking record
+  // headers. The walk stops at the last range's first row, so a 1-shard
+  // plan reads nothing past the header.
+  for (uint64_t s = 0, row = 0; s < num_shards; ++s) {
+    const uint64_t first = s * count / num_shards;
+    for (; row < first; ++row) ROCK_RETURN_IF_ERROR(reader->SkipRecord());
+    const uint64_t end = (s + 1) * count / num_shards;
+    shards.push_back(StoreShardRange{reader->offset(), first, end - first});
   }
   return shards;
+}
+
+void TransactionStoreReader::FoldConsumed() {
+  if (pos_ == crc_from_) return;
+  crc_.Update(block_.data() + crc_from_, pos_ - crc_from_);
+  crc_from_ = pos_;
+}
+
+bool TransactionStoreReader::Fill(size_t n) {
+  if (len_ - pos_ >= n) return true;
+  if (verify_full_) FoldConsumed();
+  const size_t keep = len_ - pos_;
+  if (keep > 0) std::memmove(block_.data(), block_.data() + pos_, keep);
+  block_offset_ += pos_;
+  pos_ = crc_from_ = 0;
+  len_ = keep;
+  if (block_.size() < std::max(n, kBlockSize)) {
+    block_.resize(std::max(n, kBlockSize));
+  }
+  len_ += std::fread(block_.data() + len_, 1, block_.size() - len_,
+                     file_.get());
+  return len_ >= n;
+}
+
+Status TransactionStoreReader::DecodeRecordHeader(uint32_t* n) {
+  if (!Fill(kRecordHeader)) return ShortRead();
+  const unsigned char* record = block_.data() + pos_;
+  std::memcpy(&label_, record, sizeof(label_));
+  std::memcpy(n, record + sizeof(LabelId), sizeof(*n));
+  if (*n > kMaxTransactionItems) {
+    return Status::Corruption("implausible transaction length " +
+                              std::to_string(*n));
+  }
+  return Status::OK();
+}
+
+Status TransactionStoreReader::SkipRecord() {
+  uint32_t n = 0;
+  ROCK_RETURN_IF_ERROR(DecodeRecordHeader(&n));
+  const uint64_t bytes = kRecordHeader + uint64_t{n} * sizeof(ItemId);
+  if (len_ - pos_ >= bytes) {
+    pos_ += static_cast<size_t>(bytes);
+    return Status::OK();
+  }
+  // The payload runs past the block: seek over it (the next Fill reads
+  // from there) rather than read bytes nobody decodes.
+  const uint64_t next = offset() + bytes;
+  if (std::fseek(file_.get(), static_cast<long>(next), SEEK_SET) != 0) {
+    return Status::IOError("seek failure planning store shards");
+  }
+  block_offset_ = next;
+  pos_ = len_ = crc_from_ = 0;
+  return Status::OK();
 }
 
 bool TransactionStoreReader::Next() {
   if (!status_.ok()) return false;
   if (read_ >= count_) {
     // Exhausted. Whole-file readers verify the header checksum over every
-    // record byte and reject trailing data, once, so corruption anywhere in
-    // the payload — and garbage appended past it — surfaces as a non-OK
+    // record byte and reject trailing data — bytes already in the block
+    // as well as bytes still in the file — once, so corruption anywhere in
+    // the payload, and garbage appended past it, surfaces as a non-OK
     // status instead of a silently wrong dataset.
     if (verify_full_ && !end_checked_) {
       end_checked_ = true;
+      FoldConsumed();
       if (crc_.value() != expected_crc_) {
         status_ = Status::Corruption(
             "transaction store checksum mismatch (bit rot or torn write)");
-      } else if (std::fgetc(file_.get()) != EOF) {
+      } else if (pos_ < len_ || std::fgetc(file_.get()) != EOF) {
         status_ = Status::Corruption(
             "trailing data after the last transaction store record");
       }
@@ -285,26 +318,23 @@ bool TransactionStoreReader::Next() {
     status_ = std::move(injected);
     return false;
   }
-  std::FILE* f = file_.get();
   uint32_t n = 0;
-  status_ = ReadRaw(f, &label_, sizeof(label_));
-  if (status_.ok()) status_ = ReadRaw(f, &n, sizeof(n));
-  if (status_.ok() && n > kMaxTransactionItems) {
-    status_ = Status::Corruption("implausible transaction length " +
-                                 std::to_string(n));
+  if (Status header = DecodeRecordHeader(&n); !header.ok()) {
+    status_ = std::move(header);
+    return false;
   }
-  if (!status_.ok()) return false;
-  std::vector<ItemId> items(n);
-  if (n > 0) {
-    status_ = ReadRaw(f, items.data(), n * sizeof(ItemId));
-    if (!status_.ok()) return false;
+  const size_t bytes = kRecordHeader + size_t{n} * sizeof(ItemId);
+  if (!Fill(bytes)) {
+    status_ = ShortRead();
+    return false;
   }
-  if (verify_full_) {
-    crc_.Update(&label_, sizeof(label_));
-    crc_.Update(&n, sizeof(n));
-    if (n > 0) crc_.Update(items.data(), n * sizeof(ItemId));
+  if (!current_.AssignSortedUnique(block_.data() + pos_ + kRecordHeader, n)) {
+    status_ = Status::Corruption("transaction store row " +
+                                 std::to_string(read_) +
+                                 " is not sorted and unique");
+    return false;
   }
-  current_ = Transaction(std::move(items));
+  pos_ += bytes;
   ++read_;
   return true;
 }
@@ -314,6 +344,8 @@ Status TransactionStoreReader::Rewind() {
   if (std::fseek(f, start_offset_, SEEK_SET) != 0) {
     return Status::IOError("seek failure rewinding store");
   }
+  block_offset_ = static_cast<uint64_t>(start_offset_);
+  pos_ = len_ = crc_from_ = 0;
   read_ = 0;
   status_ = Status::OK();
   crc_.Reset();
@@ -377,21 +409,8 @@ Status BuildAppendTmp(const std::string& path, const std::string& tmp,
   // Append the new records through the same failpoint site the writer
   // uses, continuing the running CRC.
   for (size_t i = 0; i < rows.size(); ++i) {
-    const Transaction& tx = rows[i];
     const LabelId label = labels == nullptr ? kNoLabel : (*labels)[i];
-    const uint32_t n = static_cast<uint32_t>(tx.size());
-    ROCK_RETURN_IF_ERROR(
-        fail::ConsultWrite("store.append", out, tx.items().data(),
-                           static_cast<size_t>(n) * sizeof(ItemId)));
-    ROCK_RETURN_IF_ERROR(WriteRaw(out, &label, sizeof(label)));
-    ROCK_RETURN_IF_ERROR(WriteRaw(out, &n, sizeof(n)));
-    if (n > 0) {
-      ROCK_RETURN_IF_ERROR(WriteRaw(out, tx.items().data(),
-                                    n * sizeof(ItemId)));
-    }
-    crc.Update(&label, sizeof(label));
-    crc.Update(&n, sizeof(n));
-    if (n > 0) crc.Update(tx.items().data(), n * sizeof(ItemId));
+    ROCK_RETURN_IF_ERROR(WriteRecord(out, rows[i], label, &crc));
   }
 
   // Back-patch the header: count/crc/generation/base_count are contiguous.
@@ -426,6 +445,7 @@ Result<StoreAppendResult> AppendToStore(const std::string& path,
   if (labels != nullptr && labels->size() != rows.size()) {
     return Status::InvalidArgument("labels do not cover the appended rows");
   }
+  for (const Transaction& tx : rows) ROCK_RETURN_IF_ERROR(CheckRowLength(tx));
   const std::string tmp = path + ".append.tmp";
   StoreAppendResult result;
   Status s = BuildAppendTmp(path, tmp, rows, labels, &result);

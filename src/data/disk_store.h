@@ -11,14 +11,28 @@
 //   count × { u32 label; u32 n; n × u32 item; }
 // `label` is the ground-truth class id (kNoLabel when absent) — carried for
 // evaluation (Table 6 counts misclassified transactions), never consulted by
-// the clustering code.
+// the clustering code. Stored rows are sorted and unique: the writers take
+// Transactions, which always are, and refuse rows of more than
+// kMaxTransactionItems items.
+//
+// Reading (docs/DESIGN.md §11): a reader decodes records out of one reused
+// 64 KiB block that a single fread refills; the block grows only for a
+// record longer than itself. Each record's label, length and items are
+// decoded in place and copied into the reader's one reused Transaction,
+// which checks that the items are strictly ascending rather than sorting
+// them. A row whose items are not — even in a file whose CRC matches — is
+// Corruption, in whole-file and range readers alike. The records consumed
+// from a block go into the running CRC in one update before the block is
+// refilled. The store is never mapped or read whole: a reader holds one
+// block.
 //
 // Integrity (version 2, docs/ROBUSTNESS.md): `crc32` covers every record
 // byte after the header. Whole-file readers (Open) verify it — and reject
-// trailing bytes — once the last record is consumed, so truncation, bit
-// flips and appended garbage surface as Corruption. Range readers
-// (OpenRange) stream a slice and cannot verify the whole-file checksum; the
-// labeling phase relies on per-record bounds plus the shard row counts
+// trailing bytes, whether already in the block or still in the file — once
+// the last record is consumed, so truncation, bit flips and appended
+// garbage surface as Corruption. Range readers (OpenRange) stream a slice
+// and cannot verify the whole-file checksum; the labeling phase relies on
+// per-record bounds, the sorted-row check and the shard row counts
 // instead. I/O paths carry the "store.read" / "store.append" failpoint
 // sites (util/failpoint.h) so the fault tests can inject errors, short
 // reads and torn writes deterministically.
@@ -50,6 +64,11 @@
 
 namespace rock {
 
+/// Most items one stored transaction may hold. Writers refuse a longer row
+/// with InvalidArgument before writing any of it; readers treat a longer
+/// length field as Corruption rather than allocate for it.
+inline constexpr uint32_t kMaxTransactionItems = 1u << 24;
+
 /// One contiguous row range of a transaction store, resolved to its byte
 /// offset so a reader can seek straight to it. Produced by
 /// TransactionStoreReader::PlanShards; consumed by OpenRange. The labeling
@@ -71,6 +90,8 @@ class TransactionStoreWriter {
   ~TransactionStoreWriter();
 
   /// Appends one transaction with an optional ground-truth label.
+  /// InvalidArgument, with nothing written, for a row of more than
+  /// kMaxTransactionItems items.
   Status Append(const Transaction& tx, LabelId label = kNoLabel);
 
   /// Back-patches the record count into the header and closes the file.
@@ -104,10 +125,12 @@ class TransactionStoreReader {
                                                   const StoreShardRange& range);
 
   /// Splits the store into at most `max_shards` contiguous, near-equal row
-  /// ranges whose byte offsets are resolved with one cheap header-skipping
-  /// scan (no item payload is read). Returns fewer ranges when the store
-  /// has fewer rows than `max_shards`, and none for an empty store. The
-  /// ranges cover every row exactly once, in store order.
+  /// ranges. Their byte offsets are resolved by walking record headers
+  /// through the reader's block decoder up to the last range's first row
+  /// (payloads longer than the block are seeked over, not read); a 1-range
+  /// plan needs no walk. Returns fewer ranges when the store has fewer
+  /// rows than `max_shards`, and none for an empty store. The ranges cover
+  /// every row exactly once, in store order.
   static Result<std::vector<StoreShardRange>> PlanShards(
       const std::string& path, uint64_t max_shards);
 
@@ -118,7 +141,8 @@ class TransactionStoreReader {
   /// error (check status() to distinguish).
   bool Next();
 
-  /// The current transaction (valid after Next() returned true).
+  /// The current transaction (valid after Next() returned true). The reader
+  /// reuses this object: the next Next() overwrites it.
   const Transaction& transaction() const { return current_; }
 
   /// Ground-truth label of the current transaction (kNoLabel if absent).
@@ -141,12 +165,35 @@ class TransactionStoreReader {
   uint64_t base_count() const { return base_count_; }
 
   /// Rewinds the stream to its first transaction — the file's first record
-  /// for Open(), the range start for OpenRange(). (Labeling makes one pass,
-  /// but multi-θ experiments rescan the same store.)
+  /// for Open(), the range start for OpenRange() — and drops the buffered
+  /// bytes. (Labeling makes one pass, but multi-θ experiments rescan the
+  /// same store.)
   Status Rewind();
 
  private:
   explicit TransactionStoreReader(std::FILE* f) : file_(f, &std::fclose) {}
+
+  /// Makes `n` bytes readable at block_[pos_]: folds the records consumed
+  /// since the last refill into the CRC (whole-file readers), moves the
+  /// unread tail to the front and tops the block up with one fread,
+  /// growing it only when `n` exceeds the block. False when the file ends
+  /// first.
+  bool Fill(size_t n);
+
+  /// Folds block_[crc_from_, pos_) — consumed records not yet checksummed —
+  /// into crc_ with one Update.
+  void FoldConsumed();
+
+  /// Decodes the next record's label (into label_) and item count, which
+  /// stays at block_[pos_]; checks the count against kMaxTransactionItems.
+  Status DecodeRecordHeader(uint32_t* n);
+
+  /// Steps over the next record (PlanShards): reads its header and seeks
+  /// over a payload that runs past the block instead of reading it.
+  Status SkipRecord();
+
+  /// File offset of the next unread record.
+  uint64_t offset() const { return block_offset_ + pos_; }
 
   std::unique_ptr<std::FILE, int (*)(std::FILE*)> file_;
   uint64_t count_ = 0;
@@ -154,6 +201,11 @@ class TransactionStoreReader {
   uint64_t generation_ = 0;
   uint64_t base_count_ = 0;
   long start_offset_ = 0;  ///< byte offset Next() starts/rewinds at
+  std::vector<unsigned char> block_;  ///< decode block, allocated on first use
+  size_t pos_ = 0;                    ///< next unread byte of block_
+  size_t len_ = 0;                    ///< bytes of block_ holding file data
+  uint64_t block_offset_ = 0;         ///< file offset of block_[0]
+  size_t crc_from_ = 0;  ///< first consumed byte of block_ not yet in crc_
   Transaction current_;
   LabelId label_ = kNoLabel;
   Status status_;
@@ -173,7 +225,8 @@ struct StoreAppendResult {
 };
 
 /// Atomically appends `rows` (with optional per-row ground-truth `labels`,
-/// nullptr = all kNoLabel) to the store at `path`.
+/// nullptr = all kNoLabel) to the store at `path`. A row of more than
+/// kMaxTransactionItems items is InvalidArgument before any file is made.
 ///
 /// The append is copy-on-write: the existing records are streamed to
 /// "<path>.append.tmp" while their CRC is re-verified (a corrupt store is

@@ -1,6 +1,8 @@
 #include "data/transaction.h"
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
 
 namespace rock {
 
@@ -11,6 +13,17 @@ Transaction::Transaction(std::vector<ItemId> items) : items_(std::move(items)) {
 
 Transaction::Transaction(std::initializer_list<ItemId> items)
     : Transaction(std::vector<ItemId>(items)) {}
+
+bool Transaction::AssignSortedUnique(const void* bytes, size_t n) {
+  items_.resize(n);
+  if (n > 0) std::memcpy(items_.data(), bytes, n * sizeof(ItemId));
+  if (std::adjacent_find(items_.begin(), items_.end(),
+                         std::greater_equal<ItemId>()) != items_.end()) {
+    items_.clear();
+    return false;
+  }
+  return true;
+}
 
 bool Transaction::Contains(ItemId item) const {
   return std::binary_search(items_.begin(), items_.end(), item);

@@ -15,7 +15,7 @@
 
 namespace rock {
 
-/// An item set. Immutable after construction; always sorted and unique.
+/// An item set; always sorted and unique.
 class Transaction {
  public:
   Transaction() = default;
@@ -25,6 +25,13 @@ class Transaction {
 
   /// Convenience literal constructor: Transaction({1, 2, 3}).
   Transaction(std::initializer_list<ItemId> items);
+
+  /// Replaces the items with the `n` ids stored at `bytes` (native byte
+  /// order, any alignment), reusing this transaction's storage. The ids are
+  /// checked, not sorted: unless they are strictly ascending this returns
+  /// false and leaves the transaction empty. The store reader decodes rows
+  /// through this, since its writers only ever store sorted, unique rows.
+  bool AssignSortedUnique(const void* bytes, size_t n);
 
   /// Number of distinct items.
   size_t size() const { return items_.size(); }

@@ -16,6 +16,8 @@ namespace rock {
 
 /// CRC-32 of `n` bytes, continuing from a previous value (0 for a fresh
 /// checksum). Crc32(b, n) == Crc32(b + k, n - k, Crc32(b, k)) for any split.
+/// Runs of 64 bytes or more fold 16 bytes per carry-less multiply on CPUs
+/// with PCLMULQDQ; the rest goes through slicing-by-8 tables.
 uint32_t Crc32(const void* data, size_t n, uint32_t crc = 0);
 
 /// Streaming CRC-32: feed bytes as they are written/read, read value() at

@@ -42,9 +42,6 @@ struct Site {
 struct Registry {
   std::mutex mu;
   std::unordered_map<std::string, Site> sites;
-  /// Fast path: true only while at least one site is armed. Lets an
-  /// unconfigured process answer Consult() with one relaxed load.
-  std::atomic<bool> armed{false};
 };
 
 Registry& Global() {
@@ -125,6 +122,8 @@ Status ParseEntry(std::string_view entry,
 
 }  // namespace
 
+std::atomic<bool> internal::g_armed{false};
+
 Status Configure(std::string_view spec) {
   std::unordered_map<std::string, Site> parsed;
   std::string_view remaining = spec;
@@ -142,7 +141,7 @@ Status Configure(std::string_view spec) {
   Registry& r = Global();
   std::lock_guard<std::mutex> lock(r.mu);
   r.sites = std::move(parsed);
-  r.armed.store(!r.sites.empty(), std::memory_order_release);
+  internal::g_armed.store(!r.sites.empty(), std::memory_order_release);
   return Status::OK();
 }
 
@@ -150,12 +149,11 @@ void Clear() {
   Registry& r = Global();
   std::lock_guard<std::mutex> lock(r.mu);
   r.sites.clear();
-  r.armed.store(false, std::memory_order_release);
+  internal::g_armed.store(false, std::memory_order_release);
 }
 
-Action Consult(std::string_view site) {
+Action internal::ConsultArmed(std::string_view site) {
   Registry& r = Global();
-  if (!r.armed.load(std::memory_order_acquire)) return Action::kNone;
   std::lock_guard<std::mutex> lock(r.mu);
   auto it = r.sites.find(std::string(site));
   if (it == r.sites.end()) return Action::kNone;

@@ -1,6 +1,8 @@
-// Tests for util/checksum.h: the slicing-by-8 CRC-32 against a byte-wise
+// Tests for util/checksum.h: the CRC-32 (carry-less fold where the CPU
+// has PCLMULQDQ, slicing-by-8 tables otherwise) against a bit-at-a-time
 // reference of the same reflected IEEE polynomial, at every length 0..1024
-// and every start alignment 0..7, plus the streaming split identity.
+// and every start alignment 0..7 and on long runs, plus the streaming
+// split identity.
 
 #include <gtest/gtest.h>
 
@@ -64,6 +66,26 @@ TEST(Crc32Test, SplitIdentityAcrossEveryCut) {
     acc.Update(buf.data(), k);
     acc.Update(buf.data() + k, buf.size() - k);
     ASSERT_EQ(acc.value(), whole) << "k=" << k;
+  }
+}
+
+TEST(Crc32Test, LongRunsMatchTheReference) {
+  // Block-sized and odd-sized runs: on a CPU with PCLMULQDQ these go
+  // through the four-lane carry-less fold, its 16-byte tail fold and the
+  // table tail; elsewhere through the tables alone.
+  ROCK_SEEDED_RNG(rng, 93);
+  std::vector<unsigned char> buf(200003 + 16);
+  for (unsigned char& b : buf) {
+    b = static_cast<unsigned char>(rng.UniformUint64(256));
+  }
+  for (size_t n : {size_t{64}, size_t{65}, size_t{79}, size_t{80},
+                   size_t{127}, size_t{128}, size_t{4109}, size_t{65536},
+                   size_t{200003}}) {
+    const size_t align = static_cast<size_t>(rng.UniformUint64(16));
+    const auto seed = static_cast<uint32_t>(rng.UniformUint64(1ull << 32));
+    const unsigned char* p = buf.data() + align;
+    ASSERT_EQ(Crc32(p, n, seed), ReferenceCrc32(p, n, seed))
+        << "align=" << align << " n=" << n;
   }
 }
 

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <vector>
 
 #include "data/csv_reader.h"
 #include "data/dataset.h"
@@ -80,6 +82,39 @@ TEST(TransactionTest, IntersectionWithSelf) {
   Transaction a({1, 2, 3});
   EXPECT_EQ(IntersectionSize(a, a), 3u);
   EXPECT_EQ(UnionSize(a, a), 3u);
+}
+
+TEST(TransactionTest, AssignSortedUniqueChecksEveryAdjacentPair) {
+  // Every length 0..40: ascending ids are taken as they are; a duplicate
+  // or a descent at any single position empties the row.
+  Transaction t({99});
+  for (size_t n = 0; n <= 40; ++n) {
+    std::vector<ItemId> ids(n);
+    for (size_t i = 0; i < n; ++i) ids[i] = static_cast<ItemId>(3 * i + 1);
+    ASSERT_TRUE(t.AssignSortedUnique(ids.data(), n)) << "n=" << n;
+    EXPECT_EQ(t.items(), ids);
+    for (size_t i = 0; i + 1 < n; ++i) {
+      std::vector<ItemId> dup = ids;
+      dup[i + 1] = dup[i];
+      EXPECT_FALSE(t.AssignSortedUnique(dup.data(), n)) << n << " dup " << i;
+      EXPECT_TRUE(t.empty());
+      std::vector<ItemId> swapped = ids;
+      std::swap(swapped[i], swapped[i + 1]);
+      EXPECT_FALSE(t.AssignSortedUnique(swapped.data(), n))
+          << n << " swap " << i;
+    }
+  }
+  // Ids on both sides of 2^31 compare unsigned.
+  const std::vector<ItemId> high = {1, 0x7fffffffu, 0x80000000u, 0x80000001u,
+                                    0xfffffffeu, 0xffffffffu};
+  EXPECT_TRUE(t.AssignSortedUnique(high.data(), high.size()));
+  const std::vector<ItemId> wrap = {1, 2, 0x80000000u, 3, 4, 5};
+  EXPECT_FALSE(t.AssignSortedUnique(wrap.data(), wrap.size()));
+  // Unaligned source bytes.
+  std::vector<unsigned char> bytes(1 + high.size() * sizeof(ItemId));
+  std::memcpy(bytes.data() + 1, high.data(), high.size() * sizeof(ItemId));
+  ASSERT_TRUE(t.AssignSortedUnique(bytes.data() + 1, high.size()));
+  EXPECT_EQ(t.items(), high);
 }
 
 // ----------------------------------------------------------------- Record --

@@ -287,13 +287,16 @@ TEST_F(PipelineResumeTest, GoldenDeterminismAcrossEnginesAndThreads) {
 // The tentpole: deterministic crash → resume → bit-identical output, over a
 // grid of fault schedules × shard plans × thread counts × θ.
 
+// Plain data with no padding: gtest names each case after a byte dump of
+// it, and those names must be the same on every build.
 struct CrashCase {
   double theta;
-  size_t label_threads;    ///< shard plan: 1 thread → 1 shard, t → 4t shards
-  uint64_t crash_hit;      ///< which "pipeline.checkpoint" hit crashes
-  size_t min_skipped;      ///< shards the resumed run must at least skip
-  bool expect_resumed;     ///< false when the crash precedes any checkpoint
+  uint64_t label_threads;   ///< shard plan: 1 thread → 1 shard, t → 4t shards
+  uint64_t crash_hit;       ///< which "pipeline.checkpoint" hit crashes
+  uint64_t min_skipped;     ///< shards the resumed run must at least skip
+  uint64_t expect_resumed;  ///< 0 when the crash precedes any checkpoint
 };
+static_assert(sizeof(CrashCase) == 5 * sizeof(uint64_t));
 
 class PipelineCrashGridTest : public PipelineResumeTest,
                               public ::testing::WithParamInterface<CrashCase> {
@@ -324,8 +327,8 @@ TEST_P(PipelineCrashGridTest, ResumeMatchesUninterruptedRunBitForBit) {
   auto resumed = RunRockPipeline(store_path_, resumed_opt);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
 
-  EXPECT_EQ(resumed->resumed, c.expect_resumed);
-  if (c.expect_resumed) {
+  EXPECT_EQ(resumed->resumed, c.expect_resumed != 0);
+  if (c.expect_resumed != 0) {
     EXPECT_EQ(resumed->metrics.CounterOr("pipeline.resumed"), 1u);
     EXPECT_GE(resumed->shards_skipped, c.min_skipped);
   } else {
@@ -341,16 +344,16 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         // Crash before the very first checkpoint lands: nothing on disk,
         // resume falls back to a clean fresh run.
-        CrashCase{0.5, 1, 1, 0, false},
+        CrashCase{0.5, 1, 1, 0, 0},
         // Serial plan (one shard): the only shard's checkpoint crashes, so
         // resume restores the clustering but rescans the shard.
-        CrashCase{0.5, 1, 2, 0, true},
+        CrashCase{0.5, 1, 2, 0, 1},
         // 8 threads / 32 shards, die on the 4th shard checkpoint: at least
         // the three checkpointed shards are skipped on resume.
-        CrashCase{0.5, 8, 5, 3, true},
+        CrashCase{0.5, 8, 5, 3, 1},
         // Same crash schedule at a different θ and a mid-size plan.
-        CrashCase{0.7, 2, 4, 2, true},
-        CrashCase{0.4, 8, 3, 1, true}));
+        CrashCase{0.7, 2, 4, 2, 1},
+        CrashCase{0.4, 8, 3, 1, 1}));
 
 TEST_F(PipelineResumeTest, ResumeWithDifferentThreadCountIsIdentical) {
   if (!fail::BuildEnabled()) GTEST_SKIP() << "failpoints compiled out";

@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 
 #include "cli/cli.h"
 #include "common/random.h"
@@ -85,13 +86,20 @@ TEST(ReaderRobustnessTest, ArffHeaderFuzz) {
 TEST(ReaderRobustnessTest, StoreSurvivesBitFlips) {
   const auto path = std::filesystem::temp_directory_path() /
                     ("rock_fuzz_store_" + std::to_string(::getpid()));
-  // A valid store file...
+  // A valid store file of ~115 KB: rows of 1-40 items, then one 20k-item
+  // row longer than the readers' 64 KiB decode block, so corrupted length
+  // fields land on both sides of a block refill and of a block growth...
   {
     auto writer = TransactionStoreWriter::Open(path.string());
     ASSERT_TRUE(writer.ok());
-    for (uint32_t i = 0; i < 50; ++i) {
-      ASSERT_TRUE(writer->Append(Transaction({i, i + 1, i + 2}), i % 3).ok());
+    for (uint32_t i = 0; i < 400; ++i) {
+      std::vector<ItemId> items(1 + i % 40);
+      std::iota(items.begin(), items.end(), i);
+      ASSERT_TRUE(writer->Append(Transaction(std::move(items)), i % 3).ok());
     }
+    std::vector<ItemId> wide(20000);
+    std::iota(wide.begin(), wide.end(), ItemId{0});
+    ASSERT_TRUE(writer->Append(Transaction(std::move(wide)), 1).ok());
     ASSERT_TRUE(writer->Finish().ok());
   }
   std::string bytes;
@@ -101,13 +109,16 @@ TEST(ReaderRobustnessTest, StoreSurvivesBitFlips) {
     buf << in.rdbuf();
     bytes = buf.str();
   }
-  // ...with random single-byte corruptions must never crash the reader.
+  // ...with random single-byte corruptions must never crash the whole-file
+  // reader, the shard planner or the range readers. Every fourth trial
+  // aims its first flip at the header and the first records.
   ROCK_SEEDED_RNG(rng, 404);
   for (int trial = 0; trial < 200; ++trial) {
     std::string corrupted = bytes;
     const size_t flips = 1 + rng.UniformUint64(4);
     for (size_t fi = 0; fi < flips; ++fi) {
-      corrupted[rng.UniformUint64(corrupted.size())] =
+      const size_t span = fi == 0 && trial % 4 == 0 ? 64 : corrupted.size();
+      corrupted[rng.UniformUint64(span)] =
           static_cast<char>(rng.UniformUint64(256));
     }
     {
@@ -115,11 +126,22 @@ TEST(ReaderRobustnessTest, StoreSurvivesBitFlips) {
       out << corrupted;
     }
     auto reader = TransactionStoreReader::Open(path.string());
-    if (!reader.ok()) continue;
-    size_t rows = 0;
-    while (reader->Next() && rows < 1000) ++rows;
-    // Either a clean end or a corruption status — both acceptable.
-    EXPECT_LE(rows, 1000u);
+    if (reader.ok()) {
+      size_t rows = 0;
+      while (reader->Next() && rows < 1000) ++rows;
+      // Either a clean end or a corruption status — both acceptable.
+      EXPECT_LE(rows, 1000u);
+    }
+    auto shards = TransactionStoreReader::PlanShards(
+        path.string(), 1 + static_cast<uint64_t>(trial % 6));
+    if (!shards.ok()) continue;
+    for (const StoreShardRange& range : *shards) {
+      auto ranged = TransactionStoreReader::OpenRange(path.string(), range);
+      if (!ranged.ok()) continue;
+      uint64_t rows = 0;
+      while (ranged->Next() && rows < 1000) ++rows;
+      EXPECT_LE(rows, range.num_rows);
+    }
   }
   std::filesystem::remove(path);
 }
