@@ -394,6 +394,7 @@ Result<LabelingRunResult> LabelStore(const std::string& store_path,
   // The header open and the shard plan both touch the store file, so both
   // ride the transient-retry schedule (their failpoint site is
   // "store.open").
+  Timer plan_timer;
   uint64_t total = 0;
   ROCK_RETURN_IF_ERROR(RetryTransient(
       options.retry,
@@ -434,6 +435,7 @@ Result<LabelingRunResult> LabelStore(const std::string& store_path,
         &out.retry_stats, options.retry_sleeper));
   }
   out.shards = shards.size();
+  const double plan_seconds = plan_timer.ElapsedSeconds();
 
   // Restore completed shards from the resume state: their rows, counters
   // and outlier counts are copied verbatim and the claim loop skips them,
@@ -481,6 +483,10 @@ Result<LabelingRunResult> LabelStore(const std::string& store_path,
   std::vector<Status> shard_status(shards.size(), Status::OK());
   const size_t num_workers = shards.size() <= 1 ? 1 : threads;
   std::vector<RetryStats> worker_retry(num_workers);
+  // Per-shard scan seconds and per-worker busy seconds: each slot has one
+  // writer, and the registry only sees them after the join.
+  std::vector<double> shard_seconds(shards.size(), 0.0);
+  std::vector<double> worker_busy(num_workers, 0.0);
   std::atomic<size_t> next{0};
   std::atomic<bool> abort{false};
   std::mutex completion_mutex;
@@ -491,6 +497,7 @@ Result<LabelingRunResult> LabelStore(const std::string& store_path,
       if (s >= shards.size()) break;
       if (skip[s]) continue;
       const StoreShardRange& range = shards[s];
+      Timer shard_timer;
       Status attempt = RetryTransient(
           options.retry,
           [&]() -> Status {
@@ -516,6 +523,8 @@ Result<LabelingRunResult> LabelStore(const std::string& store_path,
             return Status::OK();
           },
           &worker_retry[worker], options.retry_sleeper);
+      shard_seconds[s] = shard_timer.ElapsedSeconds();
+      worker_busy[worker] += shard_seconds[s];
       if (!attempt.ok()) {
         shard_status[s] = std::move(attempt);
         continue;
@@ -554,6 +563,14 @@ Result<LabelingRunResult> LabelStore(const std::string& store_path,
   if (options.metrics != nullptr) {
     diag::MetricsRegistry* m = options.metrics;
     m->RecordSeconds("stage.label_scan", out.seconds);
+    m->RecordSeconds("stage.label.plan", plan_seconds);
+    for (size_t s = 0; s < shards.size(); ++s) {
+      if (!skip[s]) m->RecordSeconds("stage.label.shard", shard_seconds[s]);
+    }
+    m->SetGauge("label.worker_busy_max_s",
+                *std::max_element(worker_busy.begin(), worker_busy.end()));
+    m->SetGauge("label.worker_busy_min_s",
+                *std::min_element(worker_busy.begin(), worker_busy.end()));
     m->AddCounter("label.threads", out.threads_used);
     m->AddCounter("label.shards", out.shards);
     m->AddCounter("label.shards_skipped", out.shards_skipped);

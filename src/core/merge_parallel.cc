@@ -9,17 +9,25 @@
 // (graph/link_engine.h) at RockOptions::graph_threads. The per-merge work
 // is laid out for throughput:
 //
-//   * Interleaved rows: each cluster's cross-links live in one vector of
-//     24-byte RowEntry{partner, count, goodness} records instead of three
-//     parallel vectors. The per-partner scatter append into an arbitrary
-//     cluster's row touches one cache line instead of three — the relink
-//     is memory-bound on exactly that scatter.
-//   * Memoized goodness: GoodnessMeasure serves size^{1+2f(θ)} from a
+//   * Interleaved 12-byte rows: each cluster's cross-links live in one
+//     vector of RowEntry{partner, count} records — a 32-bit partner and a
+//     64-bit count packed at 4-byte alignment — instead of parallel
+//     vectors. The per-partner scatter append into an arbitrary cluster's
+//     row touches one cache line, and half as many bytes as a record that
+//     also caches the goodness — the relink is memory-bound on exactly
+//     that scatter.
+//   * No cached goodness: the relink computes each fresh entry's goodness
+//     once to track bests, and the rare rescans recompute it from the
+//     count (EntryGoodness). GoodnessMeasure serves size^{1+2f(θ)} from a
 //     lazily grown table, and the merged cluster's own term is hoisted out
-//     of the relink loop. The remaining per-partner cost is two table
-//     loads, two subtractions and one division, evaluated in the exact
-//     same operation order as GoodnessMeasure::Goodness — bit-identical
-//     values.
+//     of the relink loop. The per-partner cost is two table loads, two
+//     subtractions and one division, in the exact operation order of
+//     GoodnessMeasure::Goodness — bit-identical values.
+//   * Links freed before the loop: the point-level LinkMatrix is dropped
+//     once the rows are seeded. Each cluster carries its intra-cluster link
+//     total instead (intra(w) = intra(u) + intra(v) + link[u, v]), which is
+//     all the §3.3 criterion needs. Invariant checks keep the matrix: they
+//     recount cross-links and intra totals from it.
 //   * Lazy best cleaning: on real data the merging pair (u, v) is each
 //     touched neighbor's own best partner almost every time (the pair
 //     with globally maximal goodness sits inside a natural cluster, and
@@ -48,7 +56,8 @@
 //     rows that went stale through weeding, which the per-touch
 //     compaction cannot see.
 //
-// Metrics beyond the hashed engine's set: merge.compact_sweeps
+// Metrics beyond the hashed engine's set: merge.compact_sweeps,
+// mem.links.csr_bytes and mem.merge.arena_peak_bytes
 // (docs/OBSERVABILITY.md).
 
 #include <algorithm>
@@ -80,14 +89,18 @@ constexpr double kNoCandidate = -std::numeric_limits<double>::infinity();
 /// Merges between periodic dead-entry compaction sweeps.
 constexpr size_t kSweepInterval = 512;
 
-/// One cross-link record: partner id, link count, cached goodness. The
-/// interleaved layout makes the scatter append into a partner's row a
-/// single cache-line touch.
+/// One cross-link record: partner id and link count. The interleaved
+/// layout makes the scatter append into a partner's row a single
+/// cache-line touch; packing to 4-byte alignment makes it 12 bytes. The
+/// count stays 64-bit (Σ links reaches 3.4e9 on the Table 5 sample). Read
+/// `count` by value only: a reference to it would be misaligned.
+#pragma pack(push, 4)
 struct RowEntry {
   ClusterId partner;
   uint64_t count;
-  double goodness;
 };
+#pragma pack(pop)
+static_assert(sizeof(RowEntry) == 12, "RowEntry must pack to 12 bytes");
 
 /// Bookkeeping for one cluster. `row` is in strictly ascending partner-id
 /// order; entries whose partner has died (alive bitmap) are stale and
@@ -95,14 +108,16 @@ struct RowEntry {
 /// `best_key`/`best_priority` replace the paper's local heap — except
 /// when `dirty` is set, in which case best_priority is only an upper bound
 /// on the true best (and best_key is meaningless) until the cluster is
-/// cleaned at the heap top.
+/// cleaned at the heap top. `intra` is Σ link(p, q) over the cluster's
+/// unordered member pairs.
 struct ParClusterState {
   std::vector<PointIndex> members;  // sorted point ids
   std::vector<RowEntry> row;        // ascending partners; may contain dead
   size_t live_links = 0;            // entries whose partner is alive
   ClusterId best_key = 0;
-  double best_priority = -std::numeric_limits<double>::infinity();
   bool dirty = false;               // best died; priority is an upper bound
+  double best_priority = -std::numeric_limits<double>::infinity();
+  uint64_t intra = 0;               // intra-cluster links
 };
 
 using HeapEntry = UpdatableHeap<ClusterId, double>::Entry;
@@ -132,7 +147,7 @@ class ParallelMergeEngine {
     link_options.num_threads = options_.graph_threads;
     link_options.row_chunk = options_.row_chunk;
     link_options.metrics = metrics_;
-    const LinkMatrix links = ComputeLinksPacked(graph_, link_options);
+    LinkMatrix links = ComputeLinksPacked(graph_, link_options);
     result.stats.link_seconds = link_timer.ElapsedSeconds();
     if (metrics_ != nullptr) {
       metrics_->RecordSeconds("stage.links", result.stats.link_seconds);
@@ -143,6 +158,7 @@ class ParallelMergeEngine {
       metrics_->AddCounter("prune.isolated_points", pruned_.size());
       metrics_->AddCounter("links.nonzero_pairs", links.NumNonZeroPairs());
       metrics_->AddCounter("links.total", links.TotalLinks());
+      metrics_->AddCounter("mem.links.csr_bytes", CsrBytes(links));
     }
     if (check_every_ > 0) {
       diag::CheckNeighborGraph(graph_, &invariant_report_);
@@ -153,13 +169,23 @@ class ParallelMergeEngine {
     InitializeClusters(links);
     if (metrics_ != nullptr) {
       size_t local_entries = 0;
+      uint64_t arena_bytes = 0;
       for (ClusterId c = 0; c < next_id_; ++c) {
-        if (alive_[c]) local_entries += arena_[c].live_links;
+        if (!alive_[c]) continue;
+        local_entries += arena_[c].live_links;
+        arena_bytes += SlabBytes(arena_[c]);
       }
       metrics_->MaxCounter("heap.global_peak", global_.size());
       metrics_->MaxCounter("heap.local_entries_peak", local_entries);
+      metrics_->MaxCounter("mem.merge.arena_peak_bytes", arena_bytes);
     }
-    if (check_every_ > 0) VerifyBookkeeping(links);
+    if (check_every_ > 0) {
+      VerifyBookkeeping(links);
+    } else {
+      // The rows now hold every cross-link and each cluster its intra
+      // total, so only the checks, which re-derive both, need the links.
+      links = LinkMatrix(0);
+    }
     MergeLoop(&result, links);
     if (check_every_ > 0) VerifyBookkeeping(links);
     result.stats.merge_seconds = merge_timer.ElapsedSeconds();
@@ -167,8 +193,20 @@ class ParallelMergeEngine {
     BuildClustering(&result);
     {
       diag::ScopedTimer criterion_timer(metrics_, "stage.criterion");
-      result.stats.criterion_value =
+      result.stats.criterion_value = CriterionFromIntra(result.clustering);
+    }
+    if (check_every_ > 0) {
+      const double recount =
           CriterionFunction(result.clustering, links, goodness_);
+      invariant_report_.NoteCheck();
+      if (recount != result.stats.criterion_value) {
+        invariant_report_.Report(
+            "merge.criterion",
+            "criterion from intra totals = " +
+                std::to_string(result.stats.criterion_value) +
+                " but recount from point links = " +
+                std::to_string(recount));
+      }
     }
     result.stats.total_seconds = total_timer.ElapsedSeconds();
     if (metrics_ != nullptr) {
@@ -211,6 +249,23 @@ class ParallelMergeEngine {
     return std::binary_search(pruned_.begin(), pruned_.end(), p);
   }
 
+  /// Bytes of the CSR arrays: n + 1 offsets, and a partner and a count for
+  /// each of the two directed entries of every non-zero pair.
+  static uint64_t CsrBytes(const LinkMatrix& links) {
+    return (links.size() + 1) * sizeof(size_t) +
+           2 * links.NumNonZeroPairs() *
+               (sizeof(PointIndex) + sizeof(LinkCount));
+  }
+
+  /// Heap bytes one cluster's slab holds: row and member capacity. The
+  /// arena peak (mem.merge.arena_peak_bytes) sums it over live clusters at
+  /// init and in each SweepCompact — never per relink — so it is sampled
+  /// every kSweepInterval merges.
+  static uint64_t SlabBytes(const ParClusterState& s) {
+    return s.row.capacity() * sizeof(RowEntry) +
+           s.members.capacity() * sizeof(PointIndex);
+  }
+
   void InitializeClusters(const LinkMatrix& links) {
     const size_t n = graph_.size();
     arena_.resize(2 * n);  // ids 0 … 2n−1 suffice for n−1 merges
@@ -237,7 +292,7 @@ class ParallelMergeEngine {
         const PointIndex q = row.partners[i];
         if (!alive_[q]) continue;
         const double g = goodness_.Goodness(row.counts[i], 1, 1);
-        s.row.push_back(RowEntry{q, row.counts[i], g});
+        s.row.push_back(RowEntry{q, row.counts[i]});
         if (g > s.best_priority) {
           s.best_priority = g;
           s.best_key = q;
@@ -259,18 +314,37 @@ class ParallelMergeEngine {
 
   double LocalBest(ClusterId c) const { return arena_[c].best_priority; }
 
-  /// Recomputes a cluster's best live entry by scanning its row, clearing
+  /// The goodness of the entry between live clusters a and b, bit-identical
+  /// to the value the relink computed when the entry was born:
+  ///   * a live cluster's size never changes (a merge mints a new id);
+  ///   * emit builds every entry between x < w as
+  ///     (T[nx+nw] − T[nx]) − T[nw], the older id's size first, which is
+  ///     Goodness(count, nx, nw) operation for operation;
+  ///   * initial entries are Goodness(c, 1, 1), symmetric in the sizes.
+  /// So passing the older id's size first reproduces the stored bits. The
+  /// other order can differ in the last place (FP subtraction does not
+  /// reassociate), which could reorder goodness ties.
+  double EntryGoodness(ClusterId a, ClusterId b, uint64_t count) const {
+    const ClusterId older = std::min(a, b);
+    const ClusterId newer = std::max(a, b);
+    return goodness_.Goodness(count, arena_[older].members.size(),
+                              arena_[newer].members.size());
+  }
+
+  /// Recomputes cluster c's best live entry by scanning its row, clearing
   /// its dirty mark. Ascending partner order makes ties resolve toward the
   /// smaller id, matching UpdatableHeap's (priority desc, key asc) order.
-  void RecomputeBest(ParClusterState& s) {
+  void RecomputeBest(ClusterId c) {
     ++best_rescans_;
+    ParClusterState& s = arena_[c];
     s.best_priority = kNoCandidate;
     s.best_key = 0;
     s.dirty = false;
     for (const RowEntry& e : s.row) {
       if (!alive_[e.partner]) continue;
-      if (e.goodness > s.best_priority) {
-        s.best_priority = e.goodness;
+      const double g = EntryGoodness(c, e.partner, e.count);
+      if (g > s.best_priority) {
+        s.best_priority = g;
         s.best_key = e.partner;
       }
     }
@@ -305,7 +379,7 @@ class ParallelMergeEngine {
         // Lazy cleaning: settle the top's true best and re-evaluate. The
         // stored value was an upper bound, so no cluster whose true best
         // exceeds this one can be hiding below it.
-        RecomputeBest(arena_[u]);
+        RecomputeBest(u);
         global_.InsertOrUpdate(u, arena_[u].best_priority);
         heap_ops_ += 1;
         continue;
@@ -390,7 +464,7 @@ class ParallelMergeEngine {
       // x's entries for u/v just died and (w, g) replaces them. The argmax
       // updates in O(1); a dying best marks x dirty (lazy cleaning) with
       // max(old best, g) kept as the upper bound instead of rescanning.
-      sx.row.push_back(RowEntry{w, count, g});  // w > every id: stays sorted
+      sx.row.push_back(RowEntry{w, count});  // w > every id: stays sorted
       if (from_both) {
         sx.live_links -= 1;  // entries for u and v die, one for w is born
       }
@@ -409,7 +483,7 @@ class ParallelMergeEngine {
       // fixup. Bitwise compare: goodness values are never NaN.
       if (sx.best_priority != old_best) changed_.push_back(x);
 
-      sw.row.push_back(RowEntry{x, count, g});  // x ascends across iterations
+      sw.row.push_back(RowEntry{x, count});  // x ascends across iterations
       if (g > sw.best_priority) {  // ties keep the smaller id
         sw.best_priority = g;
         sw.best_key = x;
@@ -469,10 +543,11 @@ class ParallelMergeEngine {
     std::merge(su.members.begin(), su.members.end(), sv.members.begin(),
                sv.members.end(), sw.members.begin());
 
+    const uint64_t link_uv = CountOf(su, v);
+    sw.intra = su.intra + sv.intra + link_uv;
     result->merges.push_back(MergeRecord{
         u, v, w,
-        goodness_.Goodness(CountOf(su, v), su.members.size(),
-                           sv.members.size()),
+        goodness_.Goodness(link_uv, su.members.size(), sv.members.size()),
         sw.members.size()});
     ++result->stats.num_merges;
 
@@ -513,9 +588,13 @@ class ParallelMergeEngine {
   /// touches again.
   void SweepCompact() {
     ++compact_sweeps_;
+    uint64_t arena_bytes = 0;
     for (ClusterId id = 0; id < next_id_; ++id) {
-      if (alive_[id]) MaybeCompact(arena_[id]);
+      if (!alive_[id]) continue;
+      MaybeCompact(arena_[id]);
+      arena_bytes += SlabBytes(arena_[id]);  // compaction keeps capacity
     }
+    diag::MaxCounter(metrics_, "mem.merge.arena_peak_bytes", arena_bytes);
   }
 
   void WeedSmallClusters(RockResult* result) {
@@ -551,9 +630,9 @@ class ParallelMergeEngine {
 
   /// Re-derives the merge loop's redundant state from first principles and
   /// reports every disagreement: (a) the live census, (b) the membership
-  /// partition, (c) row shape, (d) cross-links, (e) goodness and the
-  /// tracked best, (f) the global heap. Debug cadence only, never on by
-  /// default.
+  /// partition, (c) row shape, (d) cross-links and intra-cluster link
+  /// totals, (e) the tracked best, (f) the global heap. Debug cadence
+  /// only, never on by default.
   void VerifyBookkeeping(const LinkMatrix& links) {
     invariant_report_.NoteCheck();
     constexpr ClusterId kNoCluster = std::numeric_limits<ClusterId>::max();
@@ -626,16 +705,27 @@ class ParallelMergeEngine {
                 std::to_string(live_entries));
       }
 
-      // (d) Cross-links against a fresh recount from the point links.
+      // (d) Cross-links and the intra total against a fresh recount from
+      // the point links.
       std::unordered_map<ClusterId, uint64_t> expect;
+      uint64_t expect_intra = 0;
       for (PointIndex p : sc.members) {
         const LinkRowSpan row = links.FlatRow(p);
         for (size_t i = 0; i < row.size; ++i) {
           const ClusterId other = cluster_of[row.partners[i]];
-          if (other != kNoCluster && other != c) {
+          if (other == c) {
+            if (row.partners[i] > p) expect_intra += row.counts[i];
+          } else if (other != kNoCluster) {
             expect[other] += row.counts[i];
           }
         }
+      }
+      if (expect_intra != sc.intra) {
+        invariant_report_.Report(
+            "merge.intra_links",
+            "cluster " + std::to_string(c) + " tracks " +
+                std::to_string(sc.intra) + " intra links but recount = " +
+                std::to_string(expect_intra));
       }
       if (expect.size() != live_entries) {
         invariant_report_.Report(
@@ -657,23 +747,14 @@ class ParallelMergeEngine {
         }
       }
 
-      // (e) Stored goodness values and the tracked argmax.
+      // (e) The tracked argmax against a full rescan.
       ClusterId expect_best_key = 0;
       double expect_best_priority = kNoCandidate;
       for (const RowEntry& e : sc.row) {
         if (!alive_[e.partner]) continue;
-        const double expected_g = goodness_.Goodness(
-            e.count, sc.members.size(), arena_[e.partner].members.size());
-        if (std::abs(e.goodness - expected_g) >
-            1e-9 * (1.0 + std::abs(expected_g))) {
-          invariant_report_.Report(
-              "merge.goodness",
-              "g(" + std::to_string(c) + ", " + std::to_string(e.partner) +
-                  ") = " + std::to_string(e.goodness) +
-                  " but recompute = " + std::to_string(expected_g));
-        }
-        if (e.goodness > expect_best_priority) {
-          expect_best_priority = e.goodness;
+        const double g = EntryGoodness(c, e.partner, e.count);
+        if (g > expect_best_priority) {
+          expect_best_priority = g;
           expect_best_key = e.partner;
         }
       }
@@ -725,6 +806,29 @@ class ParallelMergeEngine {
               " entries for " + std::to_string(num_live_) +
               " live clusters");
     }
+  }
+
+  /// E_l (§3.3) from the live clusters' intra totals: the same sum, in the
+  /// same cluster order and with the same double operations as
+  /// CriterionFunction. The totals are exact integers, so the value is
+  /// bit-identical to the recount from point links.
+  double CriterionFromIntra(const Clustering& clustering) const {
+    std::vector<uint64_t> intra(clustering.clusters.size(), 0);
+    for (ClusterId c = 0; c < next_id_; ++c) {
+      if (!alive_[c]) continue;
+      const ClusterIndex index =
+          clustering.assignment[arena_[c].members.front()];
+      intra[static_cast<size_t>(index)] = arena_[c].intra;
+    }
+    double total = 0.0;
+    for (size_t c = 0; c < clustering.clusters.size(); ++c) {
+      const auto& members = clustering.clusters[c];
+      if (members.empty()) continue;
+      const double n = static_cast<double>(members.size());
+      const double sum = static_cast<double>(intra[c]);
+      total += n * sum / goodness_.ExpectedIntraLinks(members.size());
+    }
+    return total;
   }
 
   void BuildClustering(RockResult* result) {

@@ -451,6 +451,8 @@ TEST_F(CliTest, MetricsJsonGoldenSchema) {
       "merge.relink_compactions",
       "merge.relink_best_rescans",
       "merge.compact_sweeps",
+      "mem.links.csr_bytes",
+      "mem.merge.arena_peak_bytes",
       "weed.clusters",   "weed.points",
       "graph.average_degree",
       "criterion.value",

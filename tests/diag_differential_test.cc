@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -163,6 +164,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialSeedTest,
 // same stats and criterion. Any divergence in the relink algebra or heap
 // ordering shows up as the first differing MergeRecord.
 
+/// The bit pattern of a double, so equality means bit-identical.
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
 void ExpectRunsIdentical(const RockResult& reference, const RockResult& other) {
   ASSERT_EQ(reference.merges.size(), other.merges.size());
   for (size_t m = 0; m < reference.merges.size(); ++m) {
@@ -172,7 +176,7 @@ void ExpectRunsIdentical(const RockResult& reference, const RockResult& other) {
     ASSERT_EQ(a.right, b.right) << "merge " << m;
     ASSERT_EQ(a.merged, b.merged) << "merge " << m;
     ASSERT_EQ(a.new_size, b.new_size) << "merge " << m;
-    ASSERT_DOUBLE_EQ(a.goodness, b.goodness) << "merge " << m;
+    ASSERT_EQ(Bits(a.goodness), Bits(b.goodness)) << "merge " << m;
   }
   EXPECT_EQ(reference.clustering.assignment, other.clustering.assignment);
   ASSERT_EQ(reference.clustering.num_clusters(),
@@ -187,32 +191,48 @@ void ExpectRunsIdentical(const RockResult& reference, const RockResult& other) {
             other.stats.num_weeded_clusters);
   EXPECT_EQ(reference.stats.num_weeded_points, other.stats.num_weeded_points);
   EXPECT_EQ(reference.stats.num_merges, other.stats.num_merges);
-  EXPECT_DOUBLE_EQ(reference.stats.criterion_value,
-                   other.stats.criterion_value);
+  EXPECT_EQ(Bits(reference.stats.criterion_value),
+            Bits(other.stats.criterion_value));
 }
 
-// Runs `opt` through RockClusterer and through ReferenceCluster and
-// asserts both runs identical, with the production engine's own
-// bookkeeping oracle clean.
+// Runs `opt` through ReferenceCluster (with opt's own check cadence) and
+// through RockClusterer in both of the production engine's memory modes,
+// and asserts every production run bit-identical to the reference with
+// both engines' bookkeeping oracles clean. With invariant checks off the
+// engine frees the point links after seeding its rows and takes the
+// criterion from the clusters' intra totals; checked after every merge it
+// keeps them and recounts cross-links, intra totals and the criterion from
+// them, and rescans recompute every entry's goodness from its count.
+// `unchecked`, when given, receives the checks-off run for coverage
+// assertions.
 void ExpectMatchesReference(const PointSimilarity& sim,
-                            const RockOptions& opt) {
+                            const RockOptions& opt,
+                            RockResult* unchecked = nullptr) {
   auto reference = ReferenceCluster(sim, opt);
   ASSERT_TRUE(reference.ok());
-  auto production = RockClusterer(opt).Cluster(sim);
-  ASSERT_TRUE(production.ok());
-
-  ExpectRunsIdentical(*reference, *production);
   EXPECT_EQ(reference->metrics.CounterOr("diag.invariant_violations"), 0u);
-  EXPECT_EQ(production->metrics.CounterOr("diag.invariant_violations"), 0u);
-  if (opt.diag.invariant_check_every > 0) {
-    EXPECT_GT(production->metrics.CounterOr("diag.invariant_checks"), 0u);
+  for (const size_t every : {size_t{0}, size_t{1}}) {
+    SCOPED_TRACE("invariant_check_every=" + std::to_string(every));
+    RockOptions run = opt;
+    run.diag.invariant_check_every = every;
+    auto production = RockClusterer(run).Cluster(sim);
+    ASSERT_TRUE(production.ok());
+    ExpectRunsIdentical(*reference, *production);
+    EXPECT_EQ(production->metrics.CounterOr("diag.invariant_violations"), 0u);
+    if (every == 1) {
+      EXPECT_GT(production->metrics.CounterOr("diag.invariant_checks"),
+                production->stats.num_merges);
+    } else if (unchecked != nullptr) {
+      *unchecked = std::move(*production);
+    }
   }
 }
 
 // θ × graph-thread-count grid, with outlier pruning and weeding enabled so
 // the lazy-deletion path is exercised through WeedSmallClusters as well as
-// merges. Invariant checking runs in both engines every few merges, so
-// each engine's own bookkeeping oracle must also stay clean.
+// merges. Invariant checking runs in the reference every few merges and
+// in one of the two production runs after every merge, so each engine's
+// own bookkeeping oracle must also stay clean.
 class MergeEngineDifferentialTest
     : public ::testing::TestWithParam<std::tuple<double, size_t>> {};
 
@@ -231,7 +251,11 @@ TEST_P(MergeEngineDifferentialTest, ParallelMatchesHashedOracle) {
   opt.graph_threads = threads;
   opt.row_chunk = 5;  // force many scheduling steps on a small input
   opt.diag.invariant_check_every = 7;
-  ExpectMatchesReference(sim, opt);
+  RockResult unchecked;
+  ExpectMatchesReference(sim, opt, &unchecked);
+  // Dirty bests are cleaned by rescans, which recompute goodness from
+  // counts.
+  EXPECT_GT(unchecked.metrics.CounterOr("merge.relink_best_rescans"), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -261,15 +285,20 @@ TEST_P(MergeEngineSeedTest, ParallelMatchesHashedAcrossDatasets) {
   opt.outlier_stop_multiple = 2.0;
   opt.min_cluster_support = 3;
   opt.diag.invariant_check_every = 5;
-  ExpectMatchesReference(sim, opt);
+  RockResult unchecked;
+  ExpectMatchesReference(sim, opt, &unchecked);
+  EXPECT_GT(unchecked.stats.num_pruned_points, 0u);
+  EXPECT_GT(unchecked.stats.num_weeded_clusters, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MergeEngineSeedTest,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u));
 
 // Degenerate inputs: a link-free graph (every point isolated → everything
-// pruned) and the complete graph (θ = 0, densest relinking possible) must
-// agree too, including when weeding is disabled.
+// pruned), the complete graph (θ = 0, densest relinking possible) and
+// three link components plus two isolated points under k = 2 (the loop
+// stops when cross-links run out, above k) must agree too, including when
+// weeding is disabled.
 TEST(MergeEngineEdgeCaseTest, DegenerateGraphsAgree) {
   TransactionDataset disjoint;
   for (int t = 0; t < 30; ++t) {
@@ -279,6 +308,23 @@ TEST(MergeEngineEdgeCaseTest, DegenerateGraphsAgree) {
   const uint64_t seed = 100;
   ROCK_TRACE_SEED(seed);
   TransactionDataset dense = RandomDataset(seed, 1);
+  // Each group: every 3-subset of its own 5 items. Subsets sharing two
+  // items have Jaccard 0.5, so a group is one component at θ = 0.4.
+  TransactionDataset components;
+  for (int g = 0; g < 3; ++g) {
+    const std::string prefix = "g" + std::to_string(g) + "_";
+    for (int a = 0; a < 5; ++a) {
+      for (int b = a + 1; b < 5; ++b) {
+        for (int c = b + 1; c < 5; ++c) {
+          components.AddTransaction({prefix + std::to_string(a),
+                                     prefix + std::to_string(b),
+                                     prefix + std::to_string(c)});
+        }
+      }
+    }
+  }
+  components.AddTransaction({"lone_0"});
+  components.AddTransaction({"lone_1"});
 
   struct Case {
     const char* name;
@@ -286,7 +332,8 @@ TEST(MergeEngineEdgeCaseTest, DegenerateGraphsAgree) {
     double theta;
   };
   const Case cases[] = {{"disjoint", &disjoint, 0.5},
-                        {"complete", &dense, 0.0}};
+                        {"complete", &dense, 0.0},
+                        {"components", &components, 0.4}};
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     TransactionJaccard sim(*c.ds);
@@ -294,7 +341,13 @@ TEST(MergeEngineEdgeCaseTest, DegenerateGraphsAgree) {
     opt.theta = c.theta;
     opt.num_clusters = 2;
     opt.diag.invariant_check_every = 3;
-    ExpectMatchesReference(sim, opt);
+    RockResult unchecked;
+    ExpectMatchesReference(sim, opt, &unchecked);
+    if (c.ds == &components) {
+      // k is below the component count: the loop runs out of links.
+      EXPECT_GT(unchecked.clustering.num_clusters(), opt.num_clusters);
+      EXPECT_GT(unchecked.stats.num_pruned_points, 0u);
+    }
   }
 }
 

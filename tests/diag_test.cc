@@ -320,6 +320,28 @@ TEST(DiagRockRunTest, StageMetricsArePopulated) {
                    result->stats.criterion_value);
 }
 
+// mem.*: the link CSR the merge consumed, and an arena peak that holds at
+// least one 12-byte entry for every initial cross-link.
+TEST(DiagRockRunTest, MemoryMetricsSizeTheLinksAndTheArena) {
+  TransactionDataset ds = DiagBaskets(35);
+  TransactionJaccard sim(ds);
+  RockOptions opt;
+  opt.theta = 0.5;
+  opt.num_clusters = 3;
+  auto result = RockClusterer(opt).Cluster(sim);
+  ASSERT_TRUE(result.ok());
+  const diag::RunMetrics& m = result->metrics;
+  ASSERT_TRUE(m.counters.count("mem.links.csr_bytes"));
+  ASSERT_TRUE(m.counters.count("mem.merge.arena_peak_bytes"));
+  EXPECT_EQ(m.CounterOr("mem.links.csr_bytes"),
+            (ds.size() + 1) * sizeof(size_t) +
+                2 * m.CounterOr("links.nonzero_pairs") *
+                    (sizeof(PointIndex) + sizeof(LinkCount)));
+  const uint64_t entries = m.CounterOr("heap.local_entries_peak");
+  EXPECT_GT(entries, 0u);
+  EXPECT_GE(m.CounterOr("mem.merge.arena_peak_bytes"), 12 * entries);
+}
+
 TEST(DiagRockRunTest, MetricsCanBeDisabled) {
   TransactionDataset ds = DiagBaskets(34);
   TransactionJaccard sim(ds);

@@ -348,6 +348,65 @@ TEST_F(ParallelLabelStoreTest, RecordsLabelingMetrics) {
   EXPECT_LE(rate, 1.0);
 }
 
+// One stage.label.shard observation per shard scanned in the call — none
+// for shards restored from a resume state — and the same rows at 1 and 4
+// threads.
+TEST_F(ParallelLabelStoreTest, RecordsOneShardTimerPerScannedShard) {
+  WriteStore(60, 55);
+  auto labeler = MakeLabeler(0.5, 55, nullptr);
+  ASSERT_TRUE(labeler.ok());
+  LabelStoreOptions serial;
+  serial.num_shards = 6;
+  auto reference = LabelStore(path(), *labeler, serial);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_EQ(reference->shards, 6u);
+
+  // Every other shard restored from the reference run's own rows.
+  std::vector<uint8_t> done(6, 0);
+  for (size_t s = 0; s < done.size(); s += 2) done[s] = 1;
+  const std::vector<TransactionLabeler::AssignStats> stats(6);
+  const std::vector<uint64_t> outliers(6, 0);
+  LabelResumeState resume;
+  resume.num_shards = 6;
+  resume.shard_done = &done;
+  resume.assignments = &reference->assignments;
+  resume.ground_truth = &reference->ground_truth;
+  resume.shard_stats = &stats;
+  resume.shard_outliers = &outliers;
+
+  const LabelResumeState* const resumes[] = {nullptr, &resume};
+  for (size_t threads : {1u, 4u}) {
+    for (const LabelResumeState* from : resumes) {
+      diag::MetricsRegistry registry;
+      LabelStoreOptions opt;
+      opt.num_threads = threads;
+      opt.num_shards = 6;
+      opt.resume = from;
+      opt.metrics = &registry;
+      auto result = LabelStore(path(), *labeler, opt);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result->assignments, reference->assignments)
+          << "threads=" << threads;
+      EXPECT_EQ(result->ground_truth, reference->ground_truth);
+      EXPECT_EQ(result->shards_skipped, from == nullptr ? 0u : 3u);
+
+      const diag::RunMetrics m = registry.Snapshot();
+      const diag::TimerStats* shard = m.FindTimer("stage.label.shard");
+      ASSERT_NE(shard, nullptr) << "threads=" << threads;
+      EXPECT_EQ(shard->count, result->shards - result->shards_skipped)
+          << "threads=" << threads;
+      const diag::TimerStats* plan = m.FindTimer("stage.label.plan");
+      ASSERT_NE(plan, nullptr);
+      EXPECT_EQ(plan->count, 1u);
+      const double busy_max = m.GaugeOr("label.worker_busy_max_s", -1.0);
+      const double busy_min = m.GaugeOr("label.worker_busy_min_s", -1.0);
+      EXPECT_GE(busy_min, 0.0);
+      EXPECT_GE(busy_max, busy_min);
+      EXPECT_LE(busy_max, shard->total_seconds);
+    }
+  }
+}
+
 TEST_F(ParallelLabelStoreTest, MissingStoreFailsCleanly) {
   auto labeler = MakeLabeler(0.5, 54, nullptr);
   ASSERT_TRUE(labeler.ok());
