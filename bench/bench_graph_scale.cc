@@ -1,31 +1,25 @@
 // bench_graph_scale — graph-build scaling harness for the neighbor + link
 // engines (the two phases the paper's §4.5 cost model calls O(n²) and
 // O(Σ mᵢ²)). Measures stage.neighbors + stage.links on Fig. 5 synthetic
-// baskets at n ∈ {5k, 20k, 50k} under three engine configurations:
+// baskets at n ∈ {5k, 20k, 50k} under two engine configurations:
 //
-//   baseline — the all-pairs packed neighbor engine, single thread, with
-//              the bit-plane link pass (which over the packing budget at
-//              large n degrades to the hashed Fig. 4 scatter) — the
-//              pre-LSH, pre-scatter configuration.
-//   auto     — kAuto neighbors with LSH allowed (the sampled cost model
-//              picks all-pairs vs LSH from n, density and θ) + kAuto
-//              links (plane vs dense ScanCount scatter), multi-threaded.
-//   lsh      — kLsh forced with θ-tuned banding, multi-threaded; reports
-//              candidate recall against the exact graph (recall_ppm).
+//   baseline — kAuto neighbors on a single thread, with the bit-plane link
+//              pass (which over the packing budget at large n runs the
+//              exact scatter pass instead).
+//   auto     — kAuto neighbors (dense sweep vs ScanCount from the data) +
+//              kAuto links (plane vs dense ScanCount scatter),
+//              multi-threaded.
 //
-// Every configuration is differentially checked against the baseline run:
-// exact engines must reproduce the graph bit-identically; LSH must be an
-// exact subgraph (precision 1) and its edge recall is recorded as the
-// neighbors.lsh_recall_ppm counter, which CI's perf-smoke gate floors at
-// 0.999 for θ = 0.73 with tuned bands.
+// The auto run is differentially checked against the baseline run: it
+// must reproduce the graph and the link aggregates bit-identically.
 //
 // Usage: bench_graph_scale [--theta=0.73] [--ns=5000,20000,50000]
 //                          [--threads=8] [--seed=7]
 //
 // Appends to the machine-readable perf trajectory (BENCH_rock.json or
 // $ROCK_BENCH_JSON): one entry per (n, engine) with stage.neighbors,
-// stage.links and their sum stage.graph, which the fifth perf-smoke gate
-// ratios (lsh vs baseline at n = 20k).
+// stage.links and their sum stage.graph. The entries are report-only; no
+// CI gate reads them.
 
 #include <cstdio>
 #include <cstdlib>
@@ -40,7 +34,6 @@
 #include "graph/link_engine.h"
 #include "graph/neighbor_engine.h"
 #include "similarity/jaccard.h"
-#include "similarity/minhash.h"
 #include "synth/basket_generator.h"
 
 namespace {
@@ -58,26 +51,6 @@ struct Cell {
 uint64_t EdgeCount(const NeighborGraph& graph) {
   uint64_t twice = 0;
   for (const auto& row : graph.nbrlist) twice += row.size();
-  return twice / 2;
-}
-
-/// Edges present in both graphs (each adjacency list is sorted ascending).
-uint64_t SharedEdges(const NeighborGraph& a, const NeighborGraph& b) {
-  uint64_t twice = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    const auto& ra = a.nbrlist[i];
-    const auto& rb = b.nbrlist[i];
-    size_t x = 0, y = 0;
-    while (x < ra.size() && y < rb.size()) {
-      if (ra[x] < rb[y]) {
-        ++x;
-      } else if (rb[y] < ra[x]) {
-        ++y;
-      } else {
-        ++twice, ++x, ++y;
-      }
-    }
-  }
   return twice / 2;
 }
 
@@ -136,10 +109,6 @@ int main(int argc, char** argv) {
               ds->size(), theta, threads);
 
   bench::PerfJsonWriter perf("bench_graph_scale");
-  const LshOptions tuned = TuneLshOptions(theta, seed);
-  std::printf("tuned banding: b = %zu, r = %zu (recall at s = θ: %.6f)\n",
-              tuned.num_bands, tuned.rows_per_band,
-              LshCollisionProbability(theta, tuned));
 
   std::printf("\n%-8s %-10s %12s %12s %12s %10s\n", "n", "engine",
               "neighbors", "links", "graph", "edges");
@@ -160,25 +129,16 @@ int main(int argc, char** argv) {
     double auto_graph_seconds = 0;
     const struct {
       const char* name;
-      PackedStrategy strategy;
-      bool allow_lsh;
       size_t threads;
       PackedLinkStrategy links;
     } engines[] = {
-        {"baseline", PackedStrategy::kAuto, false, 1,
-         PackedLinkStrategy::kPlane},
-        {"auto", PackedStrategy::kAuto, true, threads,
-         PackedLinkStrategy::kAuto},
-        {"lsh", PackedStrategy::kLsh, false, threads,
-         PackedLinkStrategy::kAuto},
+        {"baseline", 1, PackedLinkStrategy::kPlane},
+        {"auto", threads, PackedLinkStrategy::kAuto},
     };
     for (const auto& engine : engines) {
       diag::MetricsRegistry registry;
       PackedNeighborOptions nopts;
       nopts.num_threads = engine.threads;
-      nopts.strategy = engine.strategy;
-      nopts.allow_lsh = engine.allow_lsh;
-      nopts.lsh = tuned;
       nopts.metrics = &registry;
       Timer nbr_timer;
       auto graph = ComputeNeighborsPacked(sim, theta, nopts);
@@ -198,16 +158,14 @@ int main(int argc, char** argv) {
       const double link_seconds = link_timer.ElapsedSeconds();
 
       const diag::RunMetrics m = registry.Snapshot();
-      const bool ran_lsh = m.CounterOr("neighbors.lsh_pass") > 0;
-      uint64_t recall_ppm = 1000000;
       if (std::strcmp(engine.name, "baseline") == 0) {
         baseline.graph = std::move(*graph);
         baseline.nonzero_pairs = links.NumNonZeroPairs();
         baseline.total_links = links.TotalLinks();
         baseline.nbr_seconds = nbr_seconds;
         baseline.link_seconds = link_seconds;
-      } else if (!ran_lsh) {
-        // Exact configurations must reproduce the baseline graph (and
+      } else {
+        // The auto configuration must reproduce the baseline graph (and
         // with it the link matrix aggregates) bit-identically.
         if (graph->nbrlist != baseline.graph.nbrlist) {
           std::fprintf(stderr, "FAIL: %s n=%zu exact graph differs\n",
@@ -220,36 +178,15 @@ int main(int argc, char** argv) {
                        engine.name, n);
           return 1;
         }
-      } else {
-        // LSH: exact subgraph (precision 1), recorded recall.
-        const uint64_t exact_edges = EdgeCount(baseline.graph);
-        const uint64_t lsh_edges = EdgeCount(*graph);
-        const uint64_t shared = SharedEdges(baseline.graph, *graph);
-        if (shared != lsh_edges) {
-          std::fprintf(stderr,
-                       "FAIL: %s n=%zu emitted %llu edges outside the "
-                       "exact graph\n",
-                       engine.name, n,
-                       static_cast<unsigned long long>(lsh_edges - shared));
-          return 1;
-        }
-        recall_ppm = exact_edges == 0
-                         ? 1000000
-                         : shared * 1000000 / exact_edges;
       }
 
       const double graph_seconds = nbr_seconds + link_seconds;
       if (std::strcmp(engine.name, "auto") == 0) {
         auto_graph_seconds = graph_seconds;
       }
-      std::printf("%-8zu %-10s %11.3fs %11.3fs %11.3fs %10llu%s\n", n,
+      std::printf("%-8zu %-10s %11.3fs %11.3fs %11.3fs %10llu\n", n,
                   engine.name, nbr_seconds, link_seconds, graph_seconds,
-                  static_cast<unsigned long long>(
-                      ran_lsh ? EdgeCount(*graph) : EdgeCount(baseline.graph)),
-                  ran_lsh ? (std::string("  recall=") +
-                             std::to_string(recall_ppm) + "ppm")
-                                .c_str()
-                          : "");
+                  static_cast<unsigned long long>(EdgeCount(baseline.graph)));
       std::fflush(stdout);
 
       char label[64];
@@ -264,9 +201,7 @@ int main(int argc, char** argv) {
       perf.Timer("stage.neighbors", nbr_seconds);
       perf.Timer("stage.links", link_seconds);
       perf.Timer("stage.graph", graph_seconds);
-      perf.Counter("graph.edges", EdgeCount(ran_lsh ? *graph
-                                                    : baseline.graph));
-      perf.Counter("neighbors.lsh_recall_ppm", recall_ppm);
+      perf.Counter("graph.edges", EdgeCount(baseline.graph));
       perf.AddRunMetrics(m);
     }
     const double base_graph = baseline.nbr_seconds + baseline.link_seconds;
@@ -275,8 +210,5 @@ int main(int argc, char** argv) {
   }
 
   perf.Write();
-  std::printf(
-      "\nacceptance: at the largest n the auto row's graph time should be "
-      "≥5x below baseline; lsh recall must stay ≥ 999000 ppm at θ=0.73.\n");
   return 0;
 }

@@ -1,10 +1,8 @@
-// bench_neighbors_ablation — comparison of the neighbor-graph construction
-// strategies on basket data (the O(n²) phase of §4.5):
-//   * exact serial all-pairs Jaccard (the paper's algorithm),
-//   * exact multithreaded all-pairs,
-//   * MinHash/LSH candidate generation + exact verification (the packed
-//     engine's kLsh pass),
-// plus the end-to-end clustering time at high θ (mushroom, θ = 0.8).
+// bench_neighbors_ablation — the neighbor-graph construction (the O(n²)
+// phase of §4.5) on basket data: exact serial all-pairs Jaccard (the
+// paper's algorithm) on small and wide transactions, the packed link
+// engine across thread counts, plus the end-to-end clustering time at high
+// θ (mushroom, θ = 0.8).
 //
 // Default mode runs the google-benchmark suite below. With
 // --compare-engines it instead measures the packed neighbor engine against
@@ -32,7 +30,6 @@
 #include "diag/metrics.h"
 #include "graph/link_engine.h"
 #include "graph/neighbor_engine.h"
-#include "graph/parallel.h"
 #include "similarity/jaccard.h"
 #include "synth/basket_generator.h"
 #include "synth/mushroom_generator.h"
@@ -60,44 +57,10 @@ void BM_NeighborsExactSerial(benchmark::State& state) {
 BENCHMARK(BM_NeighborsExactSerial)->Arg(1000)->Arg(2000)->Arg(4000)
     ->Unit(benchmark::kMillisecond);
 
-void BM_NeighborsExactParallel(benchmark::State& state) {
-  TransactionDataset ds = MakeBaskets(static_cast<size_t>(state.range(0)));
-  TransactionJaccard sim(ds);
-  ParallelOptions opt;
-  opt.num_threads = static_cast<size_t>(state.range(1));
-  for (auto _ : state) {
-    auto g = ComputeNeighborsParallel(sim, 0.5, opt);
-    benchmark::DoNotOptimize(g->NumEdges());
-  }
-}
-BENCHMARK(BM_NeighborsExactParallel)
-    ->ArgsProduct({{1000, 2000, 4000}, {2, 4, 8}})
-    ->Unit(benchmark::kMillisecond);
-
-/// θ = 0.5 neighbor graph through the packed engine's LSH banding pass.
-Result<NeighborGraph> LshNeighbors(const TransactionJaccard& sim) {
-  PackedNeighborOptions opt;
-  opt.strategy = PackedStrategy::kLsh;
-  return ComputeNeighborsPacked(sim, 0.5, opt);
-}
-
-void BM_NeighborsLsh(benchmark::State& state) {
-  TransactionDataset ds = MakeBaskets(static_cast<size_t>(state.range(0)));
-  TransactionJaccard sim(ds);
-  for (auto _ : state) {
-    auto g = LshNeighbors(sim);
-    benchmark::DoNotOptimize(g->NumEdges());
-  }
-}
-BENCHMARK(BM_NeighborsLsh)->Arg(1000)->Arg(2000)->Arg(4000)
-    ->Unit(benchmark::kMillisecond);
-
-// With small (~15-item) transactions, an exact Jaccard costs tens of
-// nanoseconds and LSH's signature work cannot pay for itself — the honest
-// result the small-tx benchmarks above show. The crossover needs expensive
-// similarities: these variants use ~150-item transactions (wide baskets,
+// With small (~15-item) transactions an exact Jaccard costs tens of
+// nanoseconds. These variants use ~150-item transactions (wide baskets,
 // e.g. monthly shopping histories), where one exact comparison costs ~10×
-// more while signatures amortize.
+// more.
 TransactionDataset MakeWideBaskets(size_t n) {
   BasketGeneratorOptions opt;
   opt.cluster_sizes = {n / 2, n - n / 2};
@@ -118,17 +81,6 @@ void BM_NeighborsExactSerialWideTx(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NeighborsExactSerialWideTx)->Arg(1000)->Arg(2000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_NeighborsLshWideTx(benchmark::State& state) {
-  TransactionDataset ds = MakeWideBaskets(static_cast<size_t>(state.range(0)));
-  TransactionJaccard sim(ds);
-  for (auto _ : state) {
-    auto g = LshNeighbors(sim);
-    benchmark::DoNotOptimize(g->NumEdges());
-  }
-}
-BENCHMARK(BM_NeighborsLshWideTx)->Arg(1000)->Arg(2000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_LinksParallelThreads(benchmark::State& state) {

@@ -505,15 +505,21 @@ Result<LabelingRunResult> LabelStore(const std::string& store_path,
             shard_outliers[s] = 0;
             auto reader = TransactionStoreReader::OpenRange(store_path, range);
             ROCK_RETURN_IF_ERROR(reader.status());
+            // Rows count into locals, stored once when the shard ends:
+            // adjacent shards' slots share cache lines across workers.
+            TransactionLabeler::AssignStats stats;
+            uint64_t outliers = 0;
             uint64_t row = range.first_row;
             while (reader->Next()) {
-              const ClusterIndex c = labeler.Assign(reader->transaction(),
-                                                    &scratch, &shard_stats[s]);
+              const ClusterIndex c =
+                  labeler.Assign(reader->transaction(), &scratch, &stats);
               out.assignments[row] = c;
               out.ground_truth[row] = reader->label();
-              if (c == kUnassigned) ++shard_outliers[s];
+              if (c == kUnassigned) ++outliers;
               ++row;
             }
+            shard_stats[s] = stats;
+            shard_outliers[s] = outliers;
             ROCK_RETURN_IF_ERROR(reader->status());
             if (row != range.first_row + range.num_rows) {
               return Status::Corruption(

@@ -84,16 +84,16 @@ struct RockOptions {
   size_t graph_threads = 1;
 
   /// Rows claimed per scheduling step by the parallel graph phases
-  /// (ParallelOptions::row_chunk). Smaller chunks balance better on skewed
-  /// rows, larger chunks cut scheduling overhead. Ignored when
-  /// graph_threads == 1.
+  /// (PackedNeighborOptions::row_chunk, PackedLinkOptions::row_chunk).
+  /// Smaller chunks balance better on skewed rows, larger chunks cut
+  /// scheduling overhead. The results do not depend on it.
   size_t row_chunk = 16;
 
-  /// Seed of the MinHash family in similarity/minhash.h. Nothing in the
-  /// library reads it: the clusterer's neighbor pass is always exact. It
-  /// stays because the end-to-end benchmark (bench/e2e/bench_e2e.cc)
-  /// still passes it to TuneLshOptions when it spells out the packed
-  /// neighbor options.
+  /// Seed of the retired MinHash LSH pass (similarity/minhash.h). Nothing
+  /// in the library reads it: the neighbor engine is exact. It stays
+  /// because the end-to-end benchmark (bench/e2e/bench_e2e.cc) still
+  /// passes it to TuneLshOptions when it spells out the packed neighbor
+  /// options.
   uint64_t lsh_seed = 0x5eed;
 
   /// Worker threads for the disk labeling phase (§4.6, the only stage that

@@ -2,18 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <numeric>
-#include <utility>
 #include <vector>
 
-#include "common/random.h"
 #include "common/status.h"
 #include "diag/metrics.h"
-#include "graph/parallel.h"
 #include "similarity/batch.h"
 #include "similarity/jaccard.h"
 #include "similarity/packed.h"
@@ -59,7 +54,8 @@ struct UpperRows {
 // and row_fn(worker, i, out) appends row i's kept partners j > i to out in
 // ascending order, returning the pairs it evaluated. Each chunk owns its
 // buffer, so the buffers — and the graph AssembleRows builds from them —
-// are the same at any thread count.
+// are the same at any thread count. A worker sums its evaluated pairs in a
+// local and adds it once, so workers share no counter per row.
 template <typename RowFn>
 UpperRows SweepRows(size_t n, const PackedNeighborOptions& options,
                     size_t workers, RowFn&& row_fn) {
@@ -67,9 +63,10 @@ UpperRows SweepRows(size_t n, const PackedNeighborOptions& options,
   UpperRows upper;
   upper.count.assign(n, 0);
   upper.chunks.resize((n + chunk - 1) / chunk);
-  std::vector<uint64_t> evaluated(workers, 0);
+  std::atomic<uint64_t> evaluated{0};
   std::atomic<size_t> next{0};
   ParallelInvoke(workers, [&](size_t worker) {
+    uint64_t local = 0;
     while (true) {
       const size_t c = next.fetch_add(1);
       if (c >= upper.chunks.size()) break;
@@ -77,12 +74,13 @@ UpperRows SweepRows(size_t n, const PackedNeighborOptions& options,
       const size_t end = std::min(n, (c + 1) * chunk);
       for (size_t i = c * chunk; i < end; ++i) {
         const size_t before = out.size();
-        evaluated[worker] += row_fn(worker, i, &out);
+        local += row_fn(worker, i, &out);
         upper.count[i] = static_cast<uint32_t>(out.size() - before);
       }
     }
+    evaluated.fetch_add(local);
   });
-  for (const uint64_t e : evaluated) upper.evaluated += e;
+  upper.evaluated = evaluated.load();
   return upper;
 }
 
@@ -316,6 +314,24 @@ UpperRows FullPass(const BatchSimilarity& batch, double theta,
       });
 }
 
+// Every pair through the per-pair Similarity(), in id order: the pass for
+// a similarity with no batch kernel. Similarity() is const and called from
+// every worker, as on the other passes' batches.
+UpperRows ScalarPass(const PointSimilarity& sim, double theta,
+                     const PackedNeighborOptions& options, size_t workers) {
+  const size_t n = sim.size();
+  return SweepRows(
+      n, options, workers,
+      [&](size_t, size_t i, std::vector<PointIndex>* out) {
+        for (size_t j = i + 1; j < n; ++j) {
+          if (sim.Similarity(i, j) >= theta) {
+            out->push_back(static_cast<PointIndex>(j));
+          }
+        }
+        return static_cast<uint64_t>(n - i - 1);
+      });
+}
+
 // Inverted-index ScanCount pass: per-item postings (rows ascending)
 // enumerate exactly the pairs sharing an item — for θ > 0 every other pair
 // has sim == 0 (batch.h items() contract) and is pruned without being
@@ -403,135 +419,6 @@ UpperRows CandidatePass(const BatchSimilarity& batch, double theta,
       });
 }
 
-// MinHash LSH banding pass: per-row signatures → per-band bucket keys →
-// bucket co-membership candidates → sorted dedup → exact θ-verification of
-// every candidate through the packed kernel, row by row. Precision is 1 by
-// construction; recall follows LshCollisionProbability. Every stage is
-// sharded over the thread pool, and every stage's output is a function of
-// the data + seed alone (per-band buffers, a scheduling-independent sorted
-// dedup, and the same row loop as the exact passes), so the graph is
-// deterministic for a fixed seed at any thread count.
-UpperRows LshPass(const BatchSimilarity& batch, double theta,
-                  const PackedNeighborOptions& options, size_t workers,
-                  uint64_t* candidates_out, uint64_t* skipped_empty) {
-  const size_t n = batch.size();
-  const SparseItemView& view = *batch.items();
-  const std::vector<uint32_t>* sizes = batch.prune_sizes();
-  const size_t bands = options.lsh.num_bands;
-  const size_t rows_per_band = options.lsh.rows_per_band;
-  const size_t sig_len = bands * rows_per_band;
-  const size_t num_threads = ResolveThreads(options.num_threads);
-  const auto row_empty = [&view](size_t r) {
-    return view.row_offsets[r + 1] == view.row_offsets[r];
-  };
-
-  // Signatures, sharded by row into flat storage. Empty rows are skipped
-  // outright: their all-max signatures would all collide with each other
-  // in every band — a quadratic candidate blow-up in one bucket at scale —
-  // yet their exact similarity is 0 < θ with everything, so for the θ > 0
-  // this pass requires, skipping them loses no edge.
-  std::vector<uint64_t> sigs(n * sig_len);
-  const MinHasher hasher(sig_len, options.lsh.seed);
-  size_t empty_rows = 0;
-  for (size_t r = 0; r < n; ++r) {
-    if (row_empty(r)) ++empty_rows;
-  }
-  *skipped_empty = empty_rows;
-  ParallelChunks(num_threads, n, std::max<size_t>(1, options.row_chunk),
-                 [&](size_t begin, size_t end) {
-                   for (size_t r = begin; r < end; ++r) {
-                     if (row_empty(r)) continue;
-                     const uint64_t off = view.row_offsets[r];
-                     hasher.SignatureInto(
-                         view.items.data() + off,
-                         static_cast<size_t>(view.row_offsets[r + 1] - off),
-                         sigs.data() + r * sig_len);
-                   }
-                 });
-
-  // Banding, sharded by band: rows sorted by bucket key, each equal-key run
-  // emits its C(m, 2) member pairs as (lo << 32) | hi keys into that band's
-  // buffer. Output is keyed by band — not by worker — so the concatenation
-  // below is schedule-independent.
-  std::vector<std::vector<uint64_t>> band_pairs(bands);
-  ParallelChunks(num_threads, bands, 1, [&](size_t b0, size_t b1) {
-    std::vector<std::pair<uint64_t, uint32_t>> keys;
-    keys.reserve(n - empty_rows);
-    for (size_t band = b0; band < b1; ++band) {
-      keys.clear();
-      for (size_t r = 0; r < n; ++r) {
-        if (row_empty(r)) continue;
-        keys.emplace_back(
-            LshBandKey(sigs.data() + r * sig_len + band * rows_per_band,
-                       rows_per_band, band),
-            static_cast<uint32_t>(r));
-      }
-      std::sort(keys.begin(), keys.end());
-      std::vector<uint64_t>& out = band_pairs[band];
-      size_t lo = 0;
-      while (lo < keys.size()) {
-        size_t hi = lo + 1;
-        while (hi < keys.size() && keys[hi].first == keys[lo].first) ++hi;
-        // Members ascend within the run (ties sort by row), so a < b below.
-        for (size_t a = lo; a < hi; ++a) {
-          for (size_t b = a + 1; b < hi; ++b) {
-            out.push_back((uint64_t{keys[a].second} << 32) | keys[b].second);
-          }
-        }
-        lo = hi;
-      }
-    }
-  });
-  sigs.clear();
-  sigs.shrink_to_fit();
-
-  // Cross-band dedup: one sorted unique candidate list, so each row's
-  // candidates form one ascending run.
-  size_t raw = 0;
-  for (const auto& bp : band_pairs) raw += bp.size();
-  std::vector<uint64_t> candidates;
-  candidates.reserve(raw);
-  for (auto& bp : band_pairs) {
-    candidates.insert(candidates.end(), bp.begin(), bp.end());
-    bp.clear();
-    bp.shrink_to_fit();
-  }
-  SortUniqueParallel(&candidates, num_threads);
-  *candidates_out = candidates.size();
-  std::vector<uint64_t> run_off(n + 1, 0);
-  for (const uint64_t key : candidates) ++run_off[(key >> 32) + 1];
-  for (size_t r = 0; r < n; ++r) run_off[r + 1] += run_off[r];
-
-  // Exact verification, row by row. The θ length bound prunes a candidate
-  // before it reaches the kernel (exact, see SizeBound).
-  struct Scratch {
-    std::vector<uint32_t> js;
-    std::vector<double> vals;
-  };
-  std::vector<Scratch> scratch(workers);
-  return SweepRows(
-      n, options, workers,
-      [&](size_t worker, size_t i, std::vector<PointIndex>* out) {
-        Scratch& s = scratch[worker];
-        s.js.clear();
-        for (uint64_t k = run_off[i]; k < run_off[i + 1]; ++k) {
-          const auto j = static_cast<uint32_t>(candidates[k] & 0xffffffffu);
-          if (sizes == nullptr ||
-              SizeBound(std::min((*sizes)[i], (*sizes)[j]),
-                        std::max((*sizes)[i], (*sizes)[j])) >= theta) {
-            s.js.push_back(j);
-          }
-        }
-        if (s.js.empty()) return uint64_t{0};
-        s.vals.resize(s.js.size());
-        batch.SimilarityBatch(i, s.js.data(), s.js.size(), s.vals.data());
-        for (size_t t = 0; t < s.js.size(); ++t) {
-          if (s.vals[t] >= theta) out->push_back(s.js[t]);
-        }
-        return static_cast<uint64_t>(s.js.size());
-      });
-}
-
 // ≈ upper-triangular ScanCount increments: Σ_item C(df, 2).
 uint64_t CandidateScanOps(const SparseItemView& view) {
   std::vector<uint64_t> df(view.universe, 0);
@@ -543,46 +430,33 @@ uint64_t CandidateScanOps(const SparseItemView& view) {
   return ops;
 }
 
-// Estimated LSH-pass op count, in rough one-memory-touch units (an exact
-// pass costs min(pairs × words, Σ C(df, 2)) of them). The fixed part
-// (signature build + per-band bucketing) follows from the shapes alone;
-// the data-dependent part — raw bucket collisions to dedup and unique
-// candidates to verify — is the banding curve integrated over the
-// similarity distribution, estimated from a small deterministic sample of
-// pairs (seeded by the LSH seed). This is how kAuto sees density and θ,
-// not just n, and it is a function of data + seed alone, so the choice is
-// identical at any thread count.
-uint64_t LshOpsEstimate(const BatchSimilarity& batch, const LshOptions& lsh,
-                        uint64_t nnz, uint64_t words) {
+// kAuto's choice for a batch with an item view at θ > 0: the dense sweep
+// costs ≈ every pair at a per-pair plus per-word price, ScanCount ≈ its
+// postings increments (constants at the top of this file). Both depend
+// only on the data, so the choice — and with it every neighbors.* metric —
+// is identical at any thread count. The inputs are recorded as the
+// decision.neighbors.* gauges.
+PackedStrategy ChooseAuto(const BatchSimilarity& batch,
+                          diag::MetricsRegistry* metrics) {
   const size_t n = batch.size();
-  const auto b = static_cast<double>(lsh.num_bands);
-  const auto r = static_cast<double>(lsh.rows_per_band);
-  const uint64_t sig_len = lsh.num_bands * lsh.rows_per_band;
-  double ops = static_cast<double>(nnz * sig_len) +
-               static_cast<double>(n) * b;
-  constexpr size_t kSamples = 256;
-  if (n >= 2) {
-    SplitMix64 sm(lsh.seed ^ (uint64_t{n} * 0x9e3779b97f4a7c15ULL));
-    double raw = 0.0;
-    double cand = 0.0;
-    for (size_t s = 0; s < kSamples; ++s) {
-      const auto i = static_cast<size_t>(sm.Next() % n);
-      auto j = static_cast<uint32_t>(sm.Next() % (n - 1));
-      if (j >= i) ++j;
-      double v = 0.0;
-      batch.SimilarityBatch(i, &j, 1, &v);
-      const double per_band = std::pow(std::clamp(v, 0.0, 1.0), r);
-      raw += b * per_band;                        // duplicate collisions
-      cand += 1.0 - std::pow(1.0 - per_band, b);  // unique candidate?
-    }
-    const double scale = static_cast<double>(TotalPairs(n)) /
-                         static_cast<double>(kSamples);
-    // Dedup charges ~log₂(raw) comparisons per raw pair (call it 8); every
-    // unique candidate pays one popcount sweep.
-    ops += scale * (raw * 8.0 + cand * static_cast<double>(words));
-  }
-  return ops >= 1e19 ? std::numeric_limits<uint64_t>::max()
-                     : static_cast<uint64_t>(ops);
+  const uint64_t words =
+      std::max<uint64_t>(1, (uint64_t{batch.items()->universe} + 63) / 64);
+  const double dense_s =
+      static_cast<double>(TotalPairs(n)) *
+      (kDenseNsPerPair + kDenseNsPerWord * static_cast<double>(words)) * 1e-9;
+  const double scan_s = static_cast<double>(CandidateScanOps(*batch.items())) *
+                        kScanNsPerIncrement * 1e-9;
+  const PackedStrategy strategy = scan_s < dense_s
+                                      ? PackedStrategy::kCandidates
+                                      : PackedStrategy::kWindow;
+  diag::SetGauge(metrics, "decision.neighbors.n", static_cast<double>(n));
+  diag::SetGauge(metrics, "decision.neighbors.words_per_row",
+                 static_cast<double>(words));
+  diag::SetGauge(metrics, "decision.neighbors.dense_cost_s", dense_s);
+  diag::SetGauge(metrics, "decision.neighbors.scan_cost_s", scan_s);
+  diag::SetGauge(metrics, "decision.neighbors.pass",
+                 strategy == PackedStrategy::kCandidates ? 1.0 : 0.0);
+  return strategy;
 }
 
 }  // namespace
@@ -593,97 +467,35 @@ Result<NeighborGraph> ComputeNeighborsPacked(
   if (!(theta >= 0.0 && theta <= 1.0)) {
     return Status::InvalidArgument("theta must be in [0, 1]");
   }
+  const size_t workers =
+      std::max<size_t>(1, ResolveThreads(options.num_threads));
   diag::SetGauge(options.metrics, "graph.threads",
-                 static_cast<double>(ResolveThreads(options.num_threads)));
+                 static_cast<double>(workers));
   std::unique_ptr<BatchSimilarity> batch;
   {
     diag::ScopedTimer pack_timer(options.metrics, "stage.neighbors.pack");
     batch = sim.MakeBatch();
   }
+  // θ = 0 needs the complete graph (nothing shares an item with an empty
+  // row, yet everything neighbors it), and a batch without an item view
+  // has no postings to scan: both take an id-order walk over every pair.
+  PackedStrategy strategy = PackedStrategy::kWindow;
   if (batch == nullptr) {
     // No batch kernel (expert similarity, or packing over budget): the
-    // scalar engines are the answer, not an error.
+    // per-pair walk is the answer, not an error.
     diag::AddCounter(options.metrics, "neighbors.fallback_scalar", 1);
-    auto graph = options.num_threads == 1
-                     ? ComputeNeighbors(sim, theta)
-                     : ComputeNeighborsParallel(
-                           sim, theta,
-                           {options.num_threads, options.row_chunk});
-    if (graph.ok()) {
-      diag::AddCounter(options.metrics, "neighbors.pairs_evaluated",
-                       TotalPairs(sim.size()));
-      diag::AddCounter(options.metrics, "neighbors.pairs_pruned", 0);
-    }
-    return graph;
+  } else if (theta > 0.0 && batch->items() != nullptr) {
+    strategy = options.strategy == PackedStrategy::kAuto
+                   ? ChooseAuto(*batch, options.metrics)
+                   : options.strategy;
   }
 
-  const size_t n = batch->size();
-  const uint64_t total = TotalPairs(n);
-  PackedStrategy strategy = options.strategy;
-  const bool candidates_ok = theta > 0.0 && batch->items() != nullptr;
-  if (candidates_ok && (strategy == PackedStrategy::kLsh ||
-                        (strategy == PackedStrategy::kAuto &&
-                         options.allow_lsh))) {
-    ROCK_RETURN_IF_ERROR(options.lsh.Validate());
-  }
-  if (!candidates_ok) {
-    // θ = 0 needs the complete graph (nothing shares an item with an empty
-    // row, yet everything neighbors it), so only the full pass is exact.
-    strategy = PackedStrategy::kWindow;
-  } else if (strategy == PackedStrategy::kAuto) {
-    // Dense sweep ≈ every pair at a per-pair plus per-word price, ScanCount
-    // ≈ its postings increments (constants at the top of this file). Both
-    // depend only on the data, so the choice — and with it every
-    // neighbors.* metric — is identical at any thread count.
-    const uint64_t words = std::max<uint64_t>(
-        1, (uint64_t{batch->items()->universe} + 63) / 64);
-    const uint64_t scan_ops = CandidateScanOps(*batch->items());
-    const double dense_s =
-        static_cast<double>(total) *
-        (kDenseNsPerPair + kDenseNsPerWord * static_cast<double>(words)) *
-        1e-9;
-    const double scan_s =
-        static_cast<double>(scan_ops) * kScanNsPerIncrement * 1e-9;
-    strategy = scan_s < dense_s ? PackedStrategy::kCandidates
-                                : PackedStrategy::kWindow;
-    if (options.allow_lsh) {
-      const uint64_t lsh_ops = LshOpsEstimate(
-          *batch, options.lsh, batch->items()->items.size(), words);
-      const uint64_t dense_ops =
-          total > std::numeric_limits<uint64_t>::max() / words
-              ? std::numeric_limits<uint64_t>::max()
-              : total * words;
-      const uint64_t exact_ops = std::min(dense_ops, scan_ops);
-      if (lsh_ops <
-              std::numeric_limits<uint64_t>::max() / kLshAutoFactor &&
-          exact_ops > kLshAutoFactor * lsh_ops) {
-        strategy = PackedStrategy::kLsh;
-      }
-    }
-    diag::SetGauge(options.metrics, "decision.neighbors.n",
-                   static_cast<double>(n));
-    diag::SetGauge(options.metrics, "decision.neighbors.words_per_row",
-                   static_cast<double>(words));
-    diag::SetGauge(options.metrics, "decision.neighbors.dense_cost_s",
-                   dense_s);
-    diag::SetGauge(options.metrics, "decision.neighbors.scan_cost_s",
-                   scan_s);
-    diag::SetGauge(options.metrics, "decision.neighbors.pass",
-                   strategy == PackedStrategy::kWindow       ? 0.0
-                   : strategy == PackedStrategy::kCandidates ? 1.0
-                                                             : 2.0);
-  }
-
-  const size_t workers =
-      std::max<size_t>(1, ResolveThreads(options.num_threads));
-  uint64_t lsh_candidates = 0;
-  uint64_t skipped_empty = 0;
+  const size_t n = sim.size();
   UpperRows upper;
   {
     diag::ScopedTimer sweep_timer(options.metrics, "stage.neighbors.sweep");
-    if (strategy == PackedStrategy::kLsh) {
-      upper = LshPass(*batch, theta, options, workers, &lsh_candidates,
-                      &skipped_empty);
+    if (batch == nullptr) {
+      upper = ScalarPass(sim, theta, options, workers);
     } else if (strategy == PackedStrategy::kCandidates) {
       upper = CandidatePass(*batch, theta, options, workers);
     } else if (batch->prune_sizes() != nullptr && theta > 0.0) {
@@ -698,19 +510,13 @@ Result<NeighborGraph> ComputeNeighborsPacked(
                                      "stage.neighbors.assemble");
     graph = AssembleRows(n, options, workers, upper);
   }
-  if (strategy == PackedStrategy::kLsh) {
-    diag::AddCounter(options.metrics, "neighbors.lsh_pass", 1);
-    diag::AddCounter(options.metrics, "neighbors.lsh_candidates",
-                     lsh_candidates);
-    diag::AddCounter(options.metrics, "neighbors.lsh_skipped_empty",
-                     skipped_empty);
-  } else if (strategy == PackedStrategy::kCandidates) {
+  if (strategy == PackedStrategy::kCandidates) {
     diag::AddCounter(options.metrics, "neighbors.candidate_pass", 1);
   }
   diag::AddCounter(options.metrics, "neighbors.pairs_evaluated",
                    upper.evaluated);
   diag::AddCounter(options.metrics, "neighbors.pairs_pruned",
-                   total - upper.evaluated);
+                   TotalPairs(n) - upper.evaluated);
   return graph;
 }
 

@@ -50,30 +50,4 @@ Result<NeighborGraph> ComputeNeighbors(const PointSimilarity& sim,
   return graph;
 }
 
-Result<NeighborGraph> ComputeNeighborsForSubset(
-    const PointSimilarity& sim, const std::vector<size_t>& subset,
-    double theta) {
-  if (!(theta >= 0.0 && theta <= 1.0)) {
-    return Status::InvalidArgument("theta must be in [0, 1]");
-  }
-  const size_t n = subset.size();
-  for (size_t idx : subset) {
-    if (idx >= sim.size()) {
-      return Status::OutOfRange("subset index exceeds similarity size");
-    }
-  }
-  NeighborGraph graph;
-  graph.nbrlist.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      if (sim.Similarity(subset[i], subset[j]) >= theta) {
-        graph.nbrlist[i].push_back(static_cast<PointIndex>(j));
-        graph.nbrlist[j].push_back(static_cast<PointIndex>(i));
-      }
-    }
-  }
-  for (auto& l : graph.nbrlist) std::sort(l.begin(), l.end());
-  return graph;
-}
-
 }  // namespace rock

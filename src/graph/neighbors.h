@@ -48,13 +48,6 @@ struct NeighborGraph {
 Result<NeighborGraph> ComputeNeighbors(const PointSimilarity& sim,
                                        double theta);
 
-/// Builds the neighbor graph for an explicit subset of points: entry i of
-/// the result refers to subset position i, and similarities are evaluated
-/// between subset[i] and subset[j]. Used after sampling/outlier pruning.
-Result<NeighborGraph> ComputeNeighborsForSubset(
-    const PointSimilarity& sim, const std::vector<size_t>& subset,
-    double theta);
-
 }  // namespace rock
 
 #endif  // ROCK_GRAPH_NEIGHBORS_H_

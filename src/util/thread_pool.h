@@ -1,7 +1,7 @@
 // librock — util/thread_pool.h
 //
 // Minimal fork-join helpers for the parallel neighbor/link computations
-// (graph/parallel.h, graph/neighbor_engine.h, graph/link_engine.h).
+// (graph/neighbor_engine.h, graph/link_engine.h).
 // Workloads here are large, coarse-grained and CPU-bound, so plain
 // std::thread fork-join per call is the right shape — no task queue, no
 // futures.

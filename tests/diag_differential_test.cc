@@ -28,7 +28,6 @@
 #include "graph/neighbor_engine.h"
 #include "graph/links.h"
 #include "graph/neighbors.h"
-#include "graph/parallel.h"
 #include "reference_rock.h"
 #include "similarity/jaccard.h"
 #include "synth/basket_generator.h"
@@ -73,10 +72,18 @@ void ExpectLinksIdentical(const LinkMatrix& serial,
   }
 }
 
+/// The threaded neighbor pass over `sim`'s per-pair Similarity(): the
+/// neighbor engine's scalar fallback at `par`'s thread count and row chunk.
+Result<NeighborGraph> ParallelNeighbors(const PointSimilarity& sim,
+                                        double theta,
+                                        const PackedNeighborOptions& par) {
+  return ComputeNeighborsPacked(ScalarOnlySimilarity(sim), theta, par);
+}
+
 /// The threaded link pass: the packed engine at `par`'s thread count and
 /// row chunk.
 LinkMatrix ParallelLinks(const NeighborGraph& graph,
-                         const ParallelOptions& par) {
+                         const PackedNeighborOptions& par) {
   PackedLinkOptions opt;
   opt.num_threads = par.num_threads;
   opt.row_chunk = par.row_chunk;
@@ -96,9 +103,9 @@ TEST_P(DifferentialTest, ParallelMatchesSerial) {
 
   auto serial = ComputeNeighbors(sim, theta);
   ASSERT_TRUE(serial.ok());
-  ParallelOptions par;
+  PackedNeighborOptions par;
   par.num_threads = threads;
-  auto parallel = ComputeNeighborsParallel(sim, theta, par);
+  auto parallel = ParallelNeighbors(sim, theta, par);
   ASSERT_TRUE(parallel.ok());
   ExpectGraphsIdentical(*serial, *parallel);
 
@@ -141,10 +148,10 @@ TEST_P(DifferentialSeedTest, ParallelMatchesSerialAcrossSeeds) {
 
   auto serial = ComputeNeighbors(sim, 0.5);
   ASSERT_TRUE(serial.ok());
-  ParallelOptions par;
+  PackedNeighborOptions par;
   par.num_threads = 4;
   par.row_chunk = 3;  // force many scheduling steps on a small input
-  auto parallel = ComputeNeighborsParallel(sim, 0.5, par);
+  auto parallel = ParallelNeighbors(sim, 0.5, par);
   ASSERT_TRUE(parallel.ok());
   ExpectGraphsIdentical(*serial, *parallel);
   ExpectLinksIdentical(ComputeLinks(*serial),
@@ -687,11 +694,11 @@ TEST(DifferentialEdgeCaseTest, EmptyGraph) {
   }
   TransactionJaccard sim(ds);
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    ParallelOptions par;
+    PackedNeighborOptions par;
     par.num_threads = threads;
     auto serial = ComputeNeighbors(sim, 0.5);
     ASSERT_TRUE(serial.ok());
-    auto parallel = ComputeNeighborsParallel(sim, 0.5, par);
+    auto parallel = ParallelNeighbors(sim, 0.5, par);
     ASSERT_TRUE(parallel.ok());
     ExpectGraphsIdentical(*serial, *parallel);
     EXPECT_EQ(parallel->NumEdges(), 0u);
@@ -711,11 +718,11 @@ TEST(DifferentialEdgeCaseTest, AllNeighborsGraph) {
   TransactionJaccard sim(ds);
   const size_t n = ds.size();
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    ParallelOptions par;
+    PackedNeighborOptions par;
     par.num_threads = threads;
     auto serial = ComputeNeighbors(sim, 0.0);
     ASSERT_TRUE(serial.ok());
-    auto parallel = ComputeNeighborsParallel(sim, 0.0, par);
+    auto parallel = ParallelNeighbors(sim, 0.0, par);
     ASSERT_TRUE(parallel.ok());
     ExpectGraphsIdentical(*serial, *parallel);
     EXPECT_EQ(parallel->NumEdges(), n * (n - 1) / 2);
@@ -742,7 +749,7 @@ TEST(DifferentialEdgeCaseTest, FewerPointsThanThreads) {
       }
       for (auto& row : g.nbrlist) std::sort(row.begin(), row.end());
     }
-    ParallelOptions par;
+    PackedNeighborOptions par;
     par.num_threads = 8;
     ExpectLinksIdentical(ComputeLinks(g), ParallelLinks(g, par));
   }

@@ -108,17 +108,6 @@ TEST(NeighborsTest, DegreeStatistics) {
   EXPECT_EQ(g->NumEdges(), 3u);
 }
 
-TEST(NeighborsTest, SubsetGraphReindexes) {
-  SimilarityTable t(4);
-  ASSERT_TRUE(t.Set(1, 3, 0.9).ok());
-  auto g = ComputeNeighborsForSubset(t, {1, 3}, 0.5);
-  ASSERT_TRUE(g.ok());
-  EXPECT_EQ(g->size(), 2u);
-  EXPECT_TRUE(g->AreNeighbors(0, 1));
-  EXPECT_TRUE(
-      ComputeNeighborsForSubset(t, {1, 9}, 0.5).status().IsOutOfRange());
-}
-
 // ------------------------------------------------------------------ Links --
 
 TEST(LinksTest, PaperExample12LinkCounts) {

@@ -21,7 +21,6 @@
 #include "graph/neighbors.h"
 #include "reference_rock.h"
 #include "similarity/jaccard.h"
-#include "similarity/minhash.h"
 #include "similarity/packed.h"
 #include "similarity/similarity_table.h"
 #include "test_support.h"
@@ -286,6 +285,45 @@ TEST(NeighborEngineTest, FallsBackToScalarWithoutBatchKernel) {
   EXPECT_EQ(snap.CounterOr("neighbors.pairs_pruned"), 0u);
 }
 
+// A similarity with no batch kernel runs the per-pair row loop: the same
+// graph as the scalar reference at any thread count and row chunk, every
+// pair evaluated and none pruned.
+TEST(NeighborEngineTest, ScalarFallbackMatchesReferenceAtAnyThreadCount) {
+  ROCK_SEEDED_RNG(rng, 19);
+  const TransactionDataset dataset = RandomBaskets(90, 40, 8, 50, &rng);
+  const TransactionJaccard jaccard(dataset);
+  const ScalarOnlySimilarity sim(jaccard);
+  ASSERT_EQ(sim.MakeBatch(), nullptr);
+  const uint64_t n = sim.size();
+  for (const double theta : {0.0, 0.5, 0.8}) {
+    const auto reference = ComputeNeighbors(sim, theta);
+    ASSERT_TRUE(reference.ok());
+    for (const size_t threads : {1u, 2u, 4u, 8u}) {
+      for (const size_t row_chunk : {1u, 3u, 16u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "theta=" << theta << " threads=" << threads
+                     << " row_chunk=" << row_chunk);
+        diag::MetricsRegistry metrics;
+        PackedNeighborOptions options;
+        options.num_threads = threads;
+        options.row_chunk = row_chunk;
+        options.metrics = &metrics;
+        const auto packed = ComputeNeighborsPacked(sim, theta, options);
+        ASSERT_TRUE(packed.ok());
+        EXPECT_EQ(packed->nbrlist, reference->nbrlist);
+        const auto snap = metrics.Snapshot();
+        EXPECT_EQ(snap.CounterOr("neighbors.fallback_scalar"), 1u);
+        EXPECT_EQ(snap.CounterOr("neighbors.pairs_evaluated"),
+                  n * (n - 1) / 2);
+        EXPECT_EQ(snap.CounterOr("neighbors.pairs_pruned"), 0u);
+        EXPECT_EQ(snap.CounterOr("neighbors.candidate_pass"), 0u);
+        EXPECT_EQ(snap.GaugeOr("graph.threads"),
+                  static_cast<double>(threads));
+      }
+    }
+  }
+}
+
 TEST(NeighborEngineTest, CandidatePassCounterFires) {
   ROCK_SEEDED_RNG(rng, 23);
   const TransactionDataset dataset = RandomBaskets(50, 400, 6, 0, &rng);
@@ -535,301 +573,6 @@ TEST(DenseSweepTest, AutoRecordsItsDecisionInputs) {
             scan < dense ? 1.0 : 0.0);
   EXPECT_EQ(snap.CounterOr("neighbors.candidate_pass"),
             scan < dense ? 1u : 0u);
-}
-
-// ---------------------------------------------------------------- LSH pass --
-
-// The LSH contract (see graph/neighbor_engine.h): every emitted edge is
-// exact (precision 1), recall follows the banding curve 1 − (1 − s^r)^b,
-// and for a fixed seed the graph is identical at any thread count.
-
-std::vector<uint64_t> EdgeList(const NeighborGraph& graph) {
-  std::vector<uint64_t> edges;
-  for (size_t i = 0; i < graph.size(); ++i) {
-    for (const PointIndex j : graph.nbrlist[i]) {
-      if (j > i) edges.push_back((uint64_t{i} << 32) | j);
-    }
-  }
-  std::sort(edges.begin(), edges.end());
-  return edges;
-}
-
-// Basket mix engineered so every tested θ sees many genuine edges: random
-// background rows plus near-duplicate groups, each drawn from a 13-item
-// pool with one item dropped per row so in-group similarities sit in
-// {11/13 ≈ 0.846, 1} — above every θ in the grid.
-TransactionDataset LshRecallBaskets(Rng* rng) {
-  TransactionDataset dataset;
-  for (size_t r = 0; r < 40; ++r) {
-    std::vector<ItemId> items;
-    const size_t count = 1 + static_cast<size_t>(rng->UniformUint64(10));
-    for (size_t k = 0; k < count; ++k) {
-      items.push_back(static_cast<ItemId>(rng->UniformUint64(30)));
-    }
-    dataset.AddTransaction(Transaction(std::move(items)));
-  }
-  for (uint32_t g = 0; g < 15; ++g) {
-    const ItemId base = 100 + 13 * g;
-    for (size_t m = 0; m < 4; ++m) {
-      const auto drop = static_cast<ItemId>(rng->UniformUint64(13));
-      std::vector<ItemId> items;
-      for (ItemId k = 0; k < 13; ++k) {
-        if (k != drop) items.push_back(base + k);
-      }
-      dataset.AddTransaction(Transaction(std::move(items)));
-    }
-  }
-  return dataset;
-}
-
-// Deliberately weak banding (b = 4, r = 4) makes recall genuinely
-// fractional, so the observed rate actually exercises the prediction
-// instead of saturating at 1. Everything is deterministic for fixed
-// seeds; the tolerance absorbs the correlation between pairs that share
-// a row's signature.
-TEST(NeighborEngineLshTest, RecallTracksCollisionProbability) {
-  for (const double theta : {0.3, 0.5, 0.73, 0.8}) {
-    SCOPED_TRACE(::testing::Message() << "theta = " << theta);
-    double expected_sum = 0.0;
-    uint64_t oracle_edges = 0;
-    uint64_t recalled = 0;
-    for (const uint64_t seed : {101u, 202u, 303u}) {
-      ROCK_SEEDED_RNG(rng, seed);
-      const TransactionDataset dataset = LshRecallBaskets(&rng);
-      const TransactionJaccard sim(dataset);
-      const auto oracle = ComputeNeighbors(sim, theta);
-      ASSERT_TRUE(oracle.ok());
-
-      LshOptions weak;
-      weak.num_bands = 4;
-      weak.rows_per_band = 4;
-      weak.seed = seed;
-      PackedNeighborOptions options;
-      options.strategy = PackedStrategy::kLsh;
-      options.lsh = weak;
-      const auto packed = ComputeNeighborsPacked(sim, theta, options);
-      ASSERT_TRUE(packed.ok());
-
-      const std::vector<uint64_t> got = EdgeList(*packed);
-      const std::vector<uint64_t> want = EdgeList(*oracle);
-      for (const uint64_t edge : got) {
-        EXPECT_TRUE(std::binary_search(want.begin(), want.end(), edge))
-            << "LSH edge (" << (edge >> 32) << ", " << (edge & 0xffffffffu)
-            << ") not in the exact graph — precision must be 1";
-      }
-      for (const uint64_t edge : want) {
-        ++oracle_edges;
-        expected_sum += LshCollisionProbability(
-            sim.Similarity(edge >> 32, edge & 0xffffffffu), weak);
-        if (std::binary_search(got.begin(), got.end(), edge)) ++recalled;
-      }
-    }
-    ASSERT_GT(oracle_edges, 50u) << "dataset must produce real statistics";
-    const double observed =
-        static_cast<double>(recalled) / static_cast<double>(oracle_edges);
-    const double predicted = expected_sum / static_cast<double>(oracle_edges);
-    EXPECT_NEAR(observed, predicted, 0.1);
-  }
-}
-
-TEST(NeighborEngineLshTest, DeterministicAcrossThreadCountsAndRuns) {
-  ROCK_SEEDED_RNG(rng, 71);
-  const TransactionDataset dataset = LshRecallBaskets(&rng);
-  const TransactionJaccard sim(dataset);
-  const auto oracle_edges = [&] {
-    const auto oracle = ComputeNeighbors(sim, 0.5);
-    EXPECT_TRUE(oracle.ok());
-    return EdgeList(*oracle);
-  }();
-
-  for (const uint64_t lsh_seed : {123u, 456u}) {
-    SCOPED_TRACE(::testing::Message() << "lsh_seed = " << lsh_seed);
-    NeighborGraph golden;
-    uint64_t golden_candidates = 0;
-    uint64_t golden_evaluated = 0;
-    bool have_golden = false;
-    for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-      for (int repeat = 0; repeat < 2; ++repeat) {
-        SCOPED_TRACE(::testing::Message()
-                     << "threads = " << threads << " repeat = " << repeat);
-        diag::MetricsRegistry metrics;
-        PackedNeighborOptions options;
-        options.strategy = PackedStrategy::kLsh;
-        options.lsh = TuneLshOptions(0.5, lsh_seed);
-        options.num_threads = threads;
-        options.row_chunk = 3;
-        options.metrics = &metrics;
-        const auto packed = ComputeNeighborsPacked(sim, 0.5, options);
-        ASSERT_TRUE(packed.ok());
-        const auto snap = metrics.Snapshot();
-        EXPECT_EQ(snap.CounterOr("neighbors.lsh_pass"), 1u);
-        if (!have_golden) {
-          golden = *packed;
-          golden_candidates = snap.CounterOr("neighbors.lsh_candidates");
-          golden_evaluated = snap.CounterOr("neighbors.pairs_evaluated");
-          have_golden = true;
-          // The golden run must itself be a subgraph of the exact oracle.
-          for (const uint64_t edge : EdgeList(golden)) {
-            ASSERT_TRUE(std::binary_search(oracle_edges.begin(),
-                                           oracle_edges.end(), edge));
-          }
-          continue;
-        }
-        EXPECT_EQ(packed->nbrlist, golden.nbrlist)
-            << "LSH must be deterministic for a fixed seed";
-        EXPECT_EQ(snap.CounterOr("neighbors.lsh_candidates"),
-                  golden_candidates);
-        EXPECT_EQ(snap.CounterOr("neighbors.pairs_evaluated"),
-                  golden_evaluated);
-      }
-    }
-  }
-}
-
-TEST(NeighborEngineLshTest, SkipsEmptyRowsAtBandingTime) {
-  // All-max signatures of empty rows collide in every band; skipping them
-  // at banding time keeps that quadratic candidate mass out of the pass
-  // entirely. With 60 empties and one genuine pair, the candidate count
-  // must be exactly 1 — the regression (banding the empties) would report
-  // 1 + C(60, 2) = 1771.
-  TransactionDataset sharp;
-  for (int r = 0; r < 60; ++r) sharp.AddTransaction(Transaction{});
-  sharp.AddTransaction(Transaction{1, 2, 3});
-  sharp.AddTransaction(Transaction{1, 2, 3});
-  const TransactionJaccard sharp_sim(sharp);
-  diag::MetricsRegistry sharp_metrics;
-  PackedNeighborOptions options;
-  options.strategy = PackedStrategy::kLsh;
-  options.metrics = &sharp_metrics;
-  const auto pair_graph = ComputeNeighborsPacked(sharp_sim, 0.5, options);
-  ASSERT_TRUE(pair_graph.ok());
-  const auto sharp_snap = sharp_metrics.Snapshot();
-  EXPECT_EQ(sharp_snap.CounterOr("neighbors.lsh_skipped_empty"), 60u);
-  EXPECT_EQ(sharp_snap.CounterOr("neighbors.lsh_candidates"), 1u);
-  EXPECT_EQ(pair_graph->nbrlist[60], (std::vector<PointIndex>{61}));
-  EXPECT_EQ(pair_graph->nbrlist[61], (std::vector<PointIndex>{60}));
-
-  // Random mixed data: the counter equals the exact empty-row count and
-  // every empty row stays isolated.
-  ROCK_SEEDED_RNG(rng, 29);
-  const TransactionDataset dataset = RandomBaskets(90, 24, 8, 400, &rng);
-  uint64_t empties = 0;
-  for (size_t r = 0; r < dataset.size(); ++r) {
-    if (dataset.transaction(r).empty()) ++empties;
-  }
-  ASSERT_GT(empties, 0u);
-  const TransactionJaccard sim(dataset);
-  diag::MetricsRegistry metrics;
-  options.metrics = &metrics;
-  const auto packed = ComputeNeighborsPacked(sim, 0.5, options);
-  ASSERT_TRUE(packed.ok());
-  EXPECT_EQ(metrics.Snapshot().CounterOr("neighbors.lsh_skipped_empty"),
-            empties);
-  for (size_t r = 0; r < dataset.size(); ++r) {
-    if (dataset.transaction(r).empty()) {
-      EXPECT_TRUE(packed->nbrlist[r].empty()) << "row " << r;
-    }
-  }
-}
-
-TEST(NeighborEngineLshTest, DegradesToWindowAtThetaZero) {
-  // θ = 0 needs the complete graph (empty rows neighbor everything while
-  // sharing no items), so a forced kLsh must degrade to the exact window
-  // pass rather than emit a candidate-limited subgraph.
-  ROCK_SEEDED_RNG(rng, 31);
-  const TransactionDataset dataset = RandomBaskets(40, 24, 8, 100, &rng);
-  const TransactionJaccard sim(dataset);
-  const auto oracle = ComputeNeighbors(sim, 0.0);
-  ASSERT_TRUE(oracle.ok());
-  diag::MetricsRegistry metrics;
-  PackedNeighborOptions options;
-  options.strategy = PackedStrategy::kLsh;
-  options.metrics = &metrics;
-  const auto packed = ComputeNeighborsPacked(sim, 0.0, options);
-  ASSERT_TRUE(packed.ok());
-  EXPECT_EQ(packed->nbrlist, oracle->nbrlist);
-  const auto snap = metrics.Snapshot();
-  EXPECT_EQ(snap.CounterOr("neighbors.lsh_pass"), 0u);
-  const auto n = static_cast<uint64_t>(dataset.size());
-  EXPECT_EQ(snap.CounterOr("neighbors.pairs_evaluated") +
-                snap.CounterOr("neighbors.pairs_pruned"),
-            n * (n - 1) / 2);
-}
-
-TEST(NeighborEngineLshTest, AutoKeepsExactPassesOnSmallUniverses) {
-  // Small dense universes are inverted-index country: the sampled cost
-  // model must leave kAuto on an exact pass even with LSH allowed, so
-  // the result stays bit-identical to the oracle.
-  ROCK_SEEDED_RNG(rng, 37);
-  const TransactionDataset dataset = RandomBaskets(60, 32, 8, 50, &rng);
-  const TransactionJaccard sim(dataset);
-  const auto oracle = ComputeNeighbors(sim, 0.5);
-  ASSERT_TRUE(oracle.ok());
-  diag::MetricsRegistry metrics;
-  PackedNeighborOptions options;
-  options.allow_lsh = true;
-  options.lsh = TuneLshOptions(0.5, 0x5eed);
-  options.metrics = &metrics;
-  const auto packed = ComputeNeighborsPacked(sim, 0.5, options);
-  ASSERT_TRUE(packed.ok());
-  EXPECT_EQ(packed->nbrlist, oracle->nbrlist);
-  EXPECT_EQ(metrics.Snapshot().CounterOr("neighbors.lsh_pass"), 0u);
-}
-
-TEST(NeighborEngineLshTest, AutoPicksLshOnHeavyHitterBaskets) {
-  // 200 clusters × 10 rows; each row carries 8 of its cluster's 10
-  // private items plus 4 global heavy-hitter items. The heavy hitters
-  // cost the inverted-index ScanCount ~4 · C(2000, 2) increments and the
-  // uniform row sizes disarm the window length bound, while banding
-  // collapses the candidate mass to in-cluster pairs — the regime where
-  // the sampled cost model must flip kAuto to LSH.
-  ROCK_SEEDED_RNG(rng, 43);
-  TransactionDataset dataset;
-  for (uint32_t c = 0; c < 200; ++c) {
-    for (size_t m = 0; m < 10; ++m) {
-      auto drop_a = static_cast<ItemId>(rng.UniformUint64(10));
-      auto drop_b = static_cast<ItemId>(rng.UniformUint64(10));
-      if (drop_a == drop_b) drop_b = (drop_b + 1) % 10;
-      std::vector<ItemId> items{2000, 2001, 2002, 2003};
-      for (ItemId k = 0; k < 10; ++k) {
-        if (k != drop_a && k != drop_b) items.push_back(10 * c + k);
-      }
-      dataset.AddTransaction(Transaction(std::move(items)));
-    }
-  }
-  const TransactionJaccard sim(dataset);
-  const double theta = 0.73;
-  const auto oracle = ComputeNeighbors(sim, theta);
-  ASSERT_TRUE(oracle.ok());
-  const std::vector<uint64_t> want = EdgeList(*oracle);
-
-  NeighborGraph golden;
-  bool have_golden = false;
-  for (const size_t threads : {size_t{1}, size_t{4}}) {
-    SCOPED_TRACE(::testing::Message() << "threads = " << threads);
-    diag::MetricsRegistry metrics;
-    PackedNeighborOptions options;
-    options.allow_lsh = true;
-    options.lsh = LshOptions{4, 4, 9};
-    options.num_threads = threads;
-    options.metrics = &metrics;
-    const auto packed = ComputeNeighborsPacked(sim, theta, options);
-    ASSERT_TRUE(packed.ok());
-    EXPECT_EQ(metrics.Snapshot().CounterOr("neighbors.lsh_pass"), 1u)
-        << "the cost model must choose LSH on heavy-hitter data";
-    const std::vector<uint64_t> got = EdgeList(*packed);
-    EXPECT_GT(got.size(), 0u);
-    for (const uint64_t edge : got) {
-      ASSERT_TRUE(std::binary_search(want.begin(), want.end(), edge))
-          << "precision must be 1";
-    }
-    if (!have_golden) {
-      golden = *packed;
-      have_golden = true;
-    } else {
-      EXPECT_EQ(packed->nbrlist, golden.nbrlist);
-    }
-  }
 }
 
 TEST(NeighborEngineTest, RejectsBadTheta) {

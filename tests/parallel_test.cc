@@ -1,6 +1,7 @@
-// Tests for util/thread_pool.h and graph/parallel.h — the parallel
-// neighbor computation, and the packed link engine at any thread count,
-// must be bit-identical to the serial paths.
+// Tests for util/thread_pool.h and the threaded graph passes — the neighbor
+// engine's per-pair row loop (the path of a similarity with no batch
+// kernel, such as SimilarityTable) and the packed link engine must be
+// bit-identical to the serial references at any thread count.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +10,7 @@
 
 #include "common/random.h"
 #include "graph/link_engine.h"
-#include "graph/parallel.h"
+#include "graph/neighbor_engine.h"
 #include "similarity/similarity_table.h"
 #include "util/thread_pool.h"
 #include "test_support.h"
@@ -84,10 +85,10 @@ TEST_P(ParallelGraphTest, NeighborsMatchSerial) {
   SimilarityTable t = RandomTable(150, density, 31 + threads);
   auto serial = ComputeNeighbors(t, 0.5);
   ASSERT_TRUE(serial.ok());
-  ParallelOptions opt;
+  PackedNeighborOptions opt;
   opt.num_threads = threads;
   opt.row_chunk = 7;
-  auto parallel = ComputeNeighborsParallel(t, 0.5, opt);
+  auto parallel = ComputeNeighborsPacked(t, 0.5, opt);
   ASSERT_TRUE(parallel.ok());
   ASSERT_EQ(parallel->size(), serial->size());
   for (size_t i = 0; i < serial->size(); ++i) {
@@ -122,7 +123,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ParallelGraphTest, InvalidThetaRejected) {
   SimilarityTable t(3);
   EXPECT_TRUE(
-      ComputeNeighborsParallel(t, 1.5).status().IsInvalidArgument());
+      ComputeNeighborsPacked(t, 1.5).status().IsInvalidArgument());
 }
 
 TEST(ParallelGraphTest, EmptyAndSingletonGraphs) {

@@ -12,7 +12,6 @@
 #include "core/criterion.h"
 #include "core/rock.h"
 #include "graph/neighbor_engine.h"
-#include "graph/parallel.h"
 #include "similarity/jaccard.h"
 #include "synth/basket_generator.h"
 #include "synth/mushroom_generator.h"

@@ -7,6 +7,10 @@
 // constructed RNGs are banned in tests — always pass an explicit seed
 // through one of these macros.
 //
+// Scalar fallback: ScalarOnlySimilarity hides a similarity's batch kernel,
+// so the neighbor engine (graph/neighbor_engine.h) runs its per-pair row
+// loop on it — the path every similarity with no MakeBatch() takes.
+//
 // Labeler persistence: the model bundle (core/model_bundle.h) is the one
 // persisted form of a §4.6 labeler. LabelerBundle and LoadLabelerBundle
 // are the SaveModelBundle → LoadModelBundle → FromParts round trip the
@@ -25,6 +29,7 @@
 #include "common/status.h"
 #include "core/labeling.h"
 #include "core/model_bundle.h"
+#include "similarity/similarity.h"
 
 /// Attaches "RNG seed = N" to every failure message in the current scope.
 #define ROCK_TRACE_SEED(seed) \
@@ -36,6 +41,21 @@
   ::rock::Rng var(seed)
 
 namespace rock {
+
+/// Forwards Similarity() to `inner` and has no batch kernel (MakeBatch()
+/// returns nullptr). `inner` must outlive the wrapper.
+class ScalarOnlySimilarity : public PointSimilarity {
+ public:
+  explicit ScalarOnlySimilarity(const PointSimilarity& inner)
+      : inner_(inner) {}
+  size_t size() const override { return inner_.size(); }
+  double Similarity(size_t i, size_t j) const override {
+    return inner_.Similarity(i, j);
+  }
+
+ private:
+  const PointSimilarity& inner_;
+};
 
 /// The bundle holding `labeler`'s θ, f(θ) and labeling sets.
 inline ModelBundle LabelerBundle(const TransactionLabeler& labeler) {

@@ -3,7 +3,6 @@
 
 Usage: check_perf_regression.py CURRENT.json BASELINE.json
            [--tolerance=0.25] [--engines=NEW,OLD] [--stage=STAGE]
-           [--min-recall=R [--recall-counter=NAME]]
            [--min-counter=NAME:FLOOR ...]
 
 Both files follow the BENCH_rock.json schema (docs/OBSERVABILITY.md §2b) and
@@ -23,13 +22,9 @@ Defaults match the merge-engine gate (bench_fig5_scalability):
 (bench_neighbors_ablation) uses --engines=packed,scalar
 --stage=stage.neighbors.
 
---min-recall=R additionally floors an accuracy counter in the CURRENT
-report: every NEW-engine entry carrying --recall-counter (default
-neighbors.lsh_recall_ppm, parts per million) must report at least
-R * 1e6. The graph-scale gate (bench_graph_scale) uses it to pin the LSH
-candidate recall at >= 0.999 alongside the lsh/baseline time ratio.
-
---min-counter=NAME:FLOOR floors a raw counter the same way (repeatable).
+--min-counter=NAME:FLOOR additionally floors a raw counter in the CURRENT
+report: every NEW-engine entry carrying NAME must report at least FLOOR
+(repeatable).
 The streaming gate (bench_stream) uses it to pin an absolute
 stream.rows_per_sec floor on the appended-row labeling throughput
 alongside the direct/stream time ratio.
@@ -76,7 +71,7 @@ def geomean(values):
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def check_counter_floor(path, engine, counter, floor, what="COUNTER"):
+def check_counter_floor(path, engine, counter, floor):
     """Floors a raw counter on every entry of `engine`; returns pass."""
     with open(path) as f:
         report = json.load(f)
@@ -89,7 +84,7 @@ def check_counter_floor(path, engine, counter, floor, what="COUNTER"):
         if value is None:
             continue
         checked += 1
-        verdict = "OK" if value >= floor else f"{what} REGRESSION"
+        verdict = "OK" if value >= floor else "COUNTER REGRESSION"
         print(f"{entry.get('label', '?')}: {counter} {value} "
               f"(floor {floor:.0f}) -> {verdict}")
         ok = ok and value >= floor
@@ -100,18 +95,10 @@ def check_counter_floor(path, engine, counter, floor, what="COUNTER"):
     return ok
 
 
-def check_recall(path, engine, counter, min_recall):
-    """Floors counter (ppm) on every entry of `engine`; returns pass."""
-    return check_counter_floor(path, engine, counter, min_recall * 1e6,
-                               what="RECALL")
-
-
 def main(argv):
     tolerance = 0.25
     new_engine, old_engine = "parallel", "hashed"
     stage = "stage.merge"
-    min_recall = None
-    recall_counter = "neighbors.lsh_recall_ppm"
     counter_floors = []
     paths = []
     for arg in argv[1:]:
@@ -125,10 +112,6 @@ def main(argv):
             new_engine, old_engine = pair
         elif arg.startswith("--stage="):
             stage = arg.split("=", 1)[1]
-        elif arg.startswith("--min-recall="):
-            min_recall = float(arg.split("=", 1)[1])
-        elif arg.startswith("--recall-counter="):
-            recall_counter = arg.split("=", 1)[1]
         elif arg.startswith("--min-counter="):
             spec = arg.split("=", 1)[1]
             name, _, floor = spec.rpartition(":")
@@ -177,14 +160,6 @@ def main(argv):
     print(f"geometric mean: current {cur:.2f}x, baseline {base:.2f}x, "
           f"floor {floor:.2f}x ({tolerance:.0%} tolerance) -> {verdict}")
 
-    recall_ok = True
-    if min_recall is not None:
-        try:
-            recall_ok = check_recall(paths[0], new_engine, recall_counter,
-                                     min_recall)
-        except (OSError, ValueError, json.JSONDecodeError) as e:
-            print(f"perf-smoke: {e}", file=sys.stderr)
-            return 2
     floors_ok = True
     for name, counter_floor in counter_floors:
         try:
@@ -193,7 +168,7 @@ def main(argv):
         except (OSError, ValueError, json.JSONDecodeError) as e:
             print(f"perf-smoke: {e}", file=sys.stderr)
             return 2
-    return 0 if cur >= floor and recall_ok and floors_ok else 1
+    return 0 if cur >= floor and floors_ok else 1
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # tools/perf_smoke.sh — CI's engine perf gates.
 #
-# Six gates, all comparing speedup *ratios* (never absolute seconds, so
+# Five gates, all comparing speedup *ratios* (never absolute seconds, so
 # the gate holds across machines) against checked-in baselines, failing on
 # a >25% regression of the geometric-mean ratio:
 #
@@ -24,11 +24,9 @@
 #      assignments verified identical); gates on the direct/serve
 #      stage.label_query ratio vs bench/baselines/BENCH_serve_smoke.json,
 #      plus an absolute ≥ 10k QPS floor on the served answers.
-#   5. graph scale — bench_graph_scale at n = 20k, θ = 0.73 (LSH-candidate
-#      neighbors + kAuto links vs the all-pairs single-thread baseline,
-#      LSH edges verified an exact subgraph); gates on the lsh/baseline
-#      stage.graph ratio vs bench/baselines/BENCH_graph_smoke.json AND
-#      floors the LSH candidate recall at 0.999.
+#   5. (retired) graph scale — its only subjects were the LSH neighbor
+#      pass's time ratio and recall, and that pass is gone; the numbering
+#      is kept so gate 6 keeps its name.
 #   6. streaming appends — bench_stream (StreamingSession::Append vs the
 #      direct Assign loop over the same held-out rows, assignments
 #      verified identical); gates on the direct/stream stage.append_label
@@ -44,7 +42,6 @@
 #         bench/baselines/BENCH_neighbors_smoke.json && \
 #     cp build/BENCH_links_smoke.json bench/baselines/BENCH_links_smoke.json && \
 #     cp build/BENCH_serve_smoke.json bench/baselines/BENCH_serve_smoke.json && \
-#     cp build/BENCH_graph_smoke.json bench/baselines/BENCH_graph_smoke.json && \
 #     cp build/BENCH_stream_smoke.json \
 #         bench/baselines/BENCH_stream_smoke.json
 
@@ -61,14 +58,11 @@ LNK_BASELINE=bench/baselines/BENCH_links_smoke.json
 LNK_REPORT="$BUILD_DIR/BENCH_links_smoke.json"
 SRV_BASELINE=bench/baselines/BENCH_serve_smoke.json
 SRV_REPORT="$BUILD_DIR/BENCH_serve_smoke.json"
-GRF_BASELINE=bench/baselines/BENCH_graph_smoke.json
-GRF_REPORT="$BUILD_DIR/BENCH_graph_smoke.json"
 STRM_BASELINE=bench/baselines/BENCH_stream_smoke.json
 STRM_REPORT="$BUILD_DIR/BENCH_stream_smoke.json"
 
 cmake --build "$BUILD_DIR" -j --target bench_fig5_scalability \
-    bench_neighbors_ablation bench_links_ablation bench_serve \
-    bench_graph_scale bench_stream
+    bench_neighbors_ablation bench_links_ablation bench_serve bench_stream
 
 echo "=== perf-smoke: bench_fig5_scalability $SCALE --compare-engines --reps=3 ==="
 ROCK_BENCH_JSON="$REPORT" \
@@ -110,18 +104,6 @@ echo "=== perf-smoke: bench_serve --min-qps=10000 ==="
 echo "=== perf-smoke: gate vs $SRV_BASELINE ==="
 python3 tools/check_perf_regression.py "$SRV_REPORT" "$SRV_BASELINE" \
     --engines=serve,direct --stage=stage.label_query
-
-# Graph-scale gate: LSH-candidate generation vs the all-pairs packed
-# baseline at n = 20k (the bench differentially verifies every engine
-# against the exact graph before timing counts), plus the 0.999 candidate
-# recall floor at θ = 0.73 with tuned banding.
-echo "=== perf-smoke: bench_graph_scale --ns=20000 ==="
-ROCK_BENCH_JSON="$GRF_REPORT" \
-    "$BUILD_DIR/bench/bench_graph_scale" --ns=20000 --threads=8
-
-echo "=== perf-smoke: gate vs $GRF_BASELINE ==="
-python3 tools/check_perf_regression.py "$GRF_REPORT" "$GRF_BASELINE" \
-    --engines=lsh,baseline --stage=stage.graph --min-recall=0.999
 
 # Streaming appends: the session labels every appended row through the
 # same §4.6 Assign path as the direct loop (differentially verified inside
