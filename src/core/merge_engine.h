@@ -7,7 +7,8 @@
 //   * parallel — the production engine, the only one RockClusterer runs
 //                (core/merge_parallel.cc, DESIGN.md §12). Links come from
 //                the packed link engine (graph/link_engine.h) at
-//                RockOptions::graph_threads; the merge loop itself uses
+//                RockOptions::graph_threads, mirrored straight into the
+//                cluster rows; the merge loop itself uses
 //                interleaved (AoS) partner rows, lazy best cleaning, a
 //                memoized goodness table and elided no-op global-heap
 //                fixups. It is serial; the name is kept for the perf
@@ -36,9 +37,15 @@ namespace rock::internal {
 RockResult RunHashedMergeEngine(const NeighborGraph& graph,
                                 const RockOptions& options);
 
-/// Runs the production engine: packed links, then the interleaved-row
-/// merge loop with lazy best cleaning and elided heap fixups.
+/// Runs the production engine: packed links seeded straight into the
+/// interleaved cluster rows, then the merge loop with lazy best cleaning
+/// and elided heap fixups.
 RockResult RunParallelMergeEngine(const NeighborGraph& graph,
+                                  const RockOptions& options);
+
+/// The same, taking the graph over: its neighbor lists are freed once the
+/// links are counted, before the cluster rows are seeded.
+RockResult RunParallelMergeEngine(NeighborGraph&& graph,
                                   const RockOptions& options);
 
 }  // namespace rock::internal

@@ -6,8 +6,13 @@
 // every merge depends on the heap top the previous one left — so the
 // engine is single-threaded; the name `parallel` is kept because the perf
 // baselines carry it. Its link phase is the packed link engine
-// (graph/link_engine.h) at RockOptions::graph_threads. The per-merge work
-// is laid out for throughput:
+// (graph/link_engine.h) at RockOptions::graph_threads, and the link pass
+// seeds the cluster rows directly: the counting pass fills one compact
+// upper buffer, and its mirror writes each singleton's row in ascending
+// partner order into the arena, tracking the best entry as it goes. No
+// point-level link CSR is built on the default path, and when Cluster()
+// hands the engine its graph, the neighbor lists are freed before the
+// seeding. The per-merge work is laid out for throughput:
 //
 //   * Interleaved 12-byte rows: each cluster's cross-links live in one
 //     vector of RowEntry{partner, count} records — a 32-bit partner and a
@@ -23,11 +28,12 @@
 //     of the relink loop. The per-partner cost is two table loads, two
 //     subtractions and one division, in the exact operation order of
 //     GoodnessMeasure::Goodness — bit-identical values.
-//   * Links freed before the loop: the point-level LinkMatrix is dropped
-//     once the rows are seeded. Each cluster carries its intra-cluster link
-//     total instead (intra(w) = intra(u) + intra(v) + link[u, v]), which is
-//     all the §3.3 criterion needs. Invariant checks keep the matrix: they
-//     recount cross-links and intra totals from it.
+//   * No point links in the loop: each cluster carries its intra-cluster
+//     link total instead (intra(w) = intra(u) + intra(v) + link[u, v]),
+//     which is all the §3.3 criterion needs. Only invariant checks build
+//     the point-level LinkMatrix (through ComputeLinksPacked): the seeded
+//     rows (merge.seed_rows), cross-links, intra totals and the criterion
+//     are recounted from it.
 //   * Lazy best cleaning: on real data the merging pair (u, v) is each
 //     touched neighbor's own best partner almost every time (the pair
 //     with globally maximal goodness sits inside a natural cluster, and
@@ -57,8 +63,8 @@
 //     compaction cannot see.
 //
 // Metrics beyond the hashed engine's set: merge.compact_sweeps,
-// mem.links.csr_bytes and mem.merge.arena_peak_bytes
-// (docs/OBSERVABILITY.md).
+// stage.links.seed, mem.graph.bytes, mem.links.upper_bytes and
+// mem.merge.arena_peak_bytes (docs/OBSERVABILITY.md).
 
 #include <algorithm>
 #include <cassert>
@@ -124,49 +130,68 @@ using HeapEntry = UpdatableHeap<ClusterId, double>::Entry;
 
 class ParallelMergeEngine {
  public:
-  ParallelMergeEngine(const NeighborGraph& graph, const RockOptions& options)
-      : options_(options), goodness_(options), graph_(graph) {}
+  explicit ParallelMergeEngine(const RockOptions& options)
+      : options_(options), goodness_(options) {}
 
-  RockResult Run() {
+  /// Clusters `graph`. With `owned` — the same graph, handed over by the
+  /// caller — the neighbor lists are freed once the links are counted, so
+  /// they are gone before the cluster rows are seeded.
+  RockResult Run(const NeighborGraph& graph, NeighborGraph* owned) {
     Timer total_timer;
     RockResult result;
-    result.stats.num_points = graph_.size();
-    result.stats.average_degree = graph_.AverageDegree();
-    result.stats.max_degree = graph_.MaxDegree();
+    n_ = graph.size();
+    result.stats.num_points = n_;
+    result.stats.average_degree = graph.AverageDegree();
+    result.stats.max_degree = graph.MaxDegree();
 
     diag::MetricsRegistry registry;
     metrics_ = options_.diag.collect_metrics ? &registry : nullptr;
     check_every_ =
         diag::InvariantCheckInterval(options_.diag.invariant_check_every);
 
-    PruneIsolatedPoints();
+    PruneIsolatedPoints(graph);
     result.stats.num_pruned_points = pruned_.size();
+    InitializeClusters();
 
-    Timer link_timer;
     PackedLinkOptions link_options;
     link_options.num_threads = options_.graph_threads;
     link_options.row_chunk = options_.row_chunk;
-    link_options.metrics = metrics_;
-    LinkMatrix links = ComputeLinksPacked(graph_, link_options);
-    result.stats.link_seconds = link_timer.ElapsedSeconds();
-    if (metrics_ != nullptr) {
-      metrics_->RecordSeconds("stage.links", result.stats.link_seconds);
-      metrics_->AddCounter("graph.points", graph_.size());
-      metrics_->AddCounter("graph.edges", graph_.NumEdges());
-      metrics_->AddCounter("graph.max_degree", graph_.MaxDegree());
-      metrics_->SetGauge("graph.average_degree", graph_.AverageDegree());
-      metrics_->AddCounter("prune.isolated_points", pruned_.size());
-      metrics_->AddCounter("links.nonzero_pairs", links.NumNonZeroPairs());
-      metrics_->AddCounter("links.total", links.TotalLinks());
-      metrics_->AddCounter("mem.links.csr_bytes", CsrBytes(links));
-    }
+    // Checked mode only: the point links as a CSR, for the checks to
+    // recount from. The default path never builds one.
+    LinkMatrix links(0);
     if (check_every_ > 0) {
-      diag::CheckNeighborGraph(graph_, &invariant_report_);
+      diag::CheckNeighborGraph(graph, &invariant_report_);
+      links = ComputeLinksPacked(graph, link_options);
       diag::CheckLinkMatrixSymmetry(links, &invariant_report_);
     }
 
+    Timer link_timer;
+    {
+      link_options.metrics = metrics_;
+      UpperLinks upper = CountUpperLinks(graph, link_options);
+      if (metrics_ != nullptr) {
+        metrics_->AddCounter("graph.points", n_);
+        metrics_->AddCounter("graph.edges", graph.NumEdges());
+        metrics_->AddCounter("graph.max_degree", graph.MaxDegree());
+        metrics_->SetGauge("graph.average_degree", graph.AverageDegree());
+        metrics_->AddCounter("mem.graph.bytes", GraphBytes(graph));
+        metrics_->AddCounter("prune.isolated_points", pruned_.size());
+        metrics_->AddCounter("links.nonzero_pairs", upper.pairs);
+        metrics_->AddCounter("links.total", upper.total);
+        metrics_->AddCounter("mem.links.upper_bytes", upper.Bytes());
+      }
+      if (owned != nullptr) *owned = NeighborGraph{};
+      diag::ScopedTimer seed_timer(metrics_, "stage.links.seed");
+      SeedRows(upper);
+    }
+    result.stats.link_seconds = link_timer.ElapsedSeconds();
+    if (metrics_ != nullptr) {
+      metrics_->RecordSeconds("stage.links", result.stats.link_seconds);
+    }
+    if (check_every_ > 0) CheckSeedRows(links);
+
     Timer merge_timer;
-    InitializeClusters(links);
+    BuildHeap();
     if (metrics_ != nullptr) {
       size_t local_entries = 0;
       uint64_t arena_bytes = 0;
@@ -179,13 +204,7 @@ class ParallelMergeEngine {
       metrics_->MaxCounter("heap.local_entries_peak", local_entries);
       metrics_->MaxCounter("mem.merge.arena_peak_bytes", arena_bytes);
     }
-    if (check_every_ > 0) {
-      VerifyBookkeeping(links);
-    } else {
-      // The rows now hold every cross-link and each cluster its intra
-      // total, so only the checks, which re-derive both, need the links.
-      links = LinkMatrix(0);
-    }
+    if (check_every_ > 0) VerifyBookkeeping(links);
     MergeLoop(&result, links);
     if (check_every_ > 0) VerifyBookkeeping(links);
     result.stats.merge_seconds = merge_timer.ElapsedSeconds();
@@ -237,9 +256,9 @@ class ParallelMergeEngine {
   }
 
  private:
-  void PruneIsolatedPoints() {
-    for (size_t p = 0; p < graph_.size(); ++p) {
-      if (graph_.Degree(p) < options_.min_neighbors) {
+  void PruneIsolatedPoints(const NeighborGraph& graph) {
+    for (size_t p = 0; p < n_; ++p) {
+      if (graph.Degree(p) < options_.min_neighbors) {
         pruned_.push_back(static_cast<PointIndex>(p));
       }
     }
@@ -249,12 +268,15 @@ class ParallelMergeEngine {
     return std::binary_search(pruned_.begin(), pruned_.end(), p);
   }
 
-  /// Bytes of the CSR arrays: n + 1 offsets, and a partner and a count for
-  /// each of the two directed entries of every non-zero pair.
-  static uint64_t CsrBytes(const LinkMatrix& links) {
-    return (links.size() + 1) * sizeof(size_t) +
-           2 * links.NumNonZeroPairs() *
-               (sizeof(PointIndex) + sizeof(LinkCount));
+  /// Heap bytes of the neighbor lists: one vector header per point plus
+  /// each list's capacity.
+  static uint64_t GraphBytes(const NeighborGraph& graph) {
+    uint64_t bytes =
+        graph.nbrlist.capacity() * sizeof(std::vector<PointIndex>);
+    for (const auto& nbrs : graph.nbrlist) {
+      bytes += nbrs.capacity() * sizeof(PointIndex);
+    }
+    return bytes;
   }
 
   /// Heap bytes one cluster's slab holds: row and member capacity. The
@@ -266,47 +288,88 @@ class ParallelMergeEngine {
            s.members.capacity() * sizeof(PointIndex);
   }
 
-  void InitializeClusters(const LinkMatrix& links) {
-    const size_t n = graph_.size();
-    arena_.resize(2 * n);  // ids 0 … 2n−1 suffice for n−1 merges
-    alive_.assign(2 * n, 0);
-    for (PointIndex p = 0; p < n; ++p) {
+  /// One singleton cluster per unpruned point; the rows are seeded next.
+  void InitializeClusters() {
+    arena_.resize(2 * n_);  // ids 0 … 2n−1 suffice for n−1 merges
+    alive_.assign(2 * n_, 0);
+    for (PointIndex p = 0; p < n_; ++p) {
       if (IsPruned(p)) continue;
       arena_[p].members.push_back(p);
       alive_[p] = 1;
       ++num_live_;
     }
-    next_id_ = static_cast<ClusterId>(n);
+    next_id_ = static_cast<ClusterId>(n_);
+  }
 
-    // Seed cross-links from the CSR rows: partners arrive already
-    // sorted, so each row fills in one pass and the best entry falls out
-    // of the scan (ascending ids ⇒ ties keep the smaller key, matching
-    // the heaps' order). Links to pruned points are dropped: pruned
-    // outliers never participate.
-    for (PointIndex p = 0; p < n; ++p) {
-      if (!alive_[p]) continue;
-      const LinkRowSpan row = links.FlatRow(p);
-      ParClusterState& s = arena_[p];
-      s.row.reserve(row.size);
-      for (size_t i = 0; i < row.size; ++i) {
-        const PointIndex q = row.partners[i];
-        if (!alive_[q]) continue;
-        const double g = goodness_.Goodness(row.counts[i], 1, 1);
-        s.row.push_back(RowEntry{q, row.counts[i]});
-        if (g > s.best_priority) {
-          s.best_priority = g;
-          s.best_key = q;
+  /// Seeds the cross-link rows straight from the upper link buffer: the
+  /// mirror hands each row its partners in ascending order, so each row
+  /// fills in one pass, sized exactly, and the best entry falls out of the
+  /// scan (ascending ids ⇒ ties keep the smaller key, matching the heaps'
+  /// order). Links to pruned points are dropped: pruned outliers never
+  /// participate. Each row is written by one mirror worker only.
+  void SeedRows(const UpperLinks& upper) {
+    // Every seeded entry is Goodness(count, 1, 1); hoisting its one
+    // denominator keeps the same operations, so the same bits, and leaves
+    // the workers no shared state to read.
+    const double expected = goodness_.ExpectedCrossLinks(1, 1);
+    MirrorUpperLinks(
+        upper, options_.graph_threads,
+        [&](const std::vector<uint32_t>& sizes) {
+          for (PointIndex p = 0; p < n_; ++p) {
+            if (alive_[p]) arena_[p].row.reserve(sizes[p]);
+          }
+        },
+        [&](size_t p, PointIndex q, LinkCount count) {
+          if (!alive_[p] || !alive_[q]) return;
+          ParClusterState& s = arena_[p];
+          s.row.push_back(RowEntry{q, count});
+          const double g =
+              expected <= 0.0 ? 0.0 : static_cast<double>(count) / expected;
+          if (g > s.best_priority) {
+            s.best_priority = g;
+            s.best_key = q;
+          }
+        });
+  }
+
+  /// Checked mode: every seeded row equals the reference matrix's row
+  /// without its pruned partners — same partners, same order, same counts.
+  void CheckSeedRows(const LinkMatrix& links) {
+    invariant_report_.NoteCheck();
+    for (PointIndex p = 0; p < n_; ++p) {
+      std::vector<RowEntry> want;
+      if (alive_[p]) {
+        const LinkRowSpan row = links.FlatRow(p);
+        for (size_t i = 0; i < row.size; ++i) {
+          if (alive_[row.partners[i]]) {
+            want.push_back(RowEntry{row.partners[i], row.counts[i]});
+          }
         }
       }
-      s.live_links = s.row.size();
+      const std::vector<RowEntry>& got = arena_[p].row;
+      const auto same = [](const RowEntry& a, const RowEntry& b) {
+        return a.partner == b.partner && a.count == b.count;
+      };
+      if (!std::equal(got.begin(), got.end(), want.begin(), want.end(),
+                      same)) {
+        invariant_report_.Report(
+            "merge.seed_rows",
+            "point " + std::to_string(p) + " seeded " +
+                std::to_string(got.size()) + " entries that differ from " +
+                "its " + std::to_string(want.size()) + " reference links");
+      }
     }
+  }
 
-    // One O(n) heapify instead of n sifted inserts; keys are unique and the
-    // resulting heap content is identical.
+  /// One O(n) heapify instead of n sifted inserts; keys are unique and the
+  /// resulting heap content is identical.
+  void BuildHeap() {
     std::vector<HeapEntry> entries;
     entries.reserve(num_live_);
-    for (PointIndex p = 0; p < n; ++p) {
-      if (alive_[p]) entries.push_back(HeapEntry{p, LocalBest(p)});
+    for (PointIndex p = 0; p < n_; ++p) {
+      if (!alive_[p]) continue;
+      arena_[p].live_links = arena_[p].row.size();
+      entries.push_back(HeapEntry{p, LocalBest(p)});
     }
     global_.Assign(std::move(entries));
     heap_ops_ += global_.size();
@@ -653,7 +716,7 @@ class ParallelMergeEngine {
     // exactly one live cluster.
     std::vector<PointIndex> weeded_sorted = weeded_points_;
     std::sort(weeded_sorted.begin(), weeded_sorted.end());
-    std::vector<ClusterId> cluster_of(graph_.size(), kNoCluster);
+    std::vector<ClusterId> cluster_of(n_, kNoCluster);
     for (ClusterId c = 0; c < next_id_; ++c) {
       if (!alive_[c]) continue;
       for (PointIndex p : arena_[c].members) {
@@ -667,7 +730,7 @@ class ParallelMergeEngine {
         cluster_of[p] = c;
       }
     }
-    for (size_t p = 0; p < graph_.size(); ++p) {
+    for (size_t p = 0; p < n_; ++p) {
       const bool excluded =
           IsPruned(static_cast<PointIndex>(p)) ||
           std::binary_search(weeded_sorted.begin(), weeded_sorted.end(),
@@ -832,7 +895,7 @@ class ParallelMergeEngine {
   }
 
   void BuildClustering(RockResult* result) {
-    std::vector<ClusterIndex> assignment(graph_.size(), kUnassigned);
+    std::vector<ClusterIndex> assignment(n_, kUnassigned);
     ClusterIndex next = 0;
     for (ClusterId c = 0; c < next_id_; ++c) {
       if (!alive_[c]) continue;
@@ -847,7 +910,7 @@ class ParallelMergeEngine {
 
   const RockOptions& options_;
   GoodnessMeasure goodness_;
-  const NeighborGraph& graph_;
+  size_t n_ = 0;  // points
 
   /// Per-run arena: slab per possible cluster id, allocated once. Slots of
   /// dead clusters are released (vectors freed) but never reused.
@@ -877,8 +940,12 @@ class ParallelMergeEngine {
 
 RockResult RunParallelMergeEngine(const NeighborGraph& graph,
                                   const RockOptions& options) {
-  ParallelMergeEngine engine(graph, options);
-  return engine.Run();
+  return ParallelMergeEngine(options).Run(graph, nullptr);
+}
+
+RockResult RunParallelMergeEngine(NeighborGraph&& graph,
+                                  const RockOptions& options) {
+  return ParallelMergeEngine(options).Run(graph, &graph);
 }
 
 }  // namespace rock::internal

@@ -1,5 +1,7 @@
 #include "core/rock.h"
 
+#include <utility>
+
 #include "common/timer.h"
 #include "core/merge_engine.h"
 #include "diag/metrics.h"
@@ -19,18 +21,20 @@ Result<RockResult> RockClusterer::Cluster(const PointSimilarity& sim) const {
       ComputeNeighborsPacked(sim, options_.theta, nopts);
   ROCK_RETURN_IF_ERROR(graph.status());
   const double nbr_seconds = nbr_timer.ElapsedSeconds();
-  auto result = ClusterGraph(*graph);
-  ROCK_RETURN_IF_ERROR(result.status());
-  result->stats.neighbor_seconds = nbr_seconds;
-  result->stats.total_seconds += nbr_seconds;
+  // The engine takes the graph over and frees its lists once the links
+  // are counted.
+  RockResult result =
+      internal::RunParallelMergeEngine(std::move(*graph), options_);
+  result.stats.neighbor_seconds = nbr_seconds;
+  result.stats.total_seconds += nbr_seconds;
   if (options_.diag.collect_metrics) {
-    result->metrics.Merge(nbr_metrics.Snapshot());
-    result->metrics.RecordSeconds("stage.neighbors", nbr_seconds);
+    result.metrics.Merge(nbr_metrics.Snapshot());
+    result.metrics.RecordSeconds("stage.neighbors", nbr_seconds);
     // stage.total must cover the whole run including this phase; replace
     // the engine's graph-only figure.
-    auto& total = result->metrics.timers["stage.total"];
+    auto& total = result.metrics.timers["stage.total"];
     total = diag::TimerStats{};
-    total.Record(result->stats.total_seconds);
+    total.Record(result.stats.total_seconds);
   }
   return result;
 }

@@ -403,7 +403,7 @@ TEST_F(CliTest, MetricsJsonGoldenSchema) {
 
   // Stage list, with values unmasked — stages are stable across machines.
   EXPECT_NE(json.find("\"stages\": [\"criterion\", \"links\", "
-                      "\"links.pack\", \"merge\", "
+                      "\"links.pack\", \"links.seed\", \"merge\", "
                       "\"merge.heap\", \"merge.relink\", "
                       "\"neighbors\", \"neighbors.assemble\", "
                       "\"neighbors.pack\", \"neighbors.sweep\", "
@@ -420,6 +420,7 @@ TEST_F(CliTest, MetricsJsonGoldenSchema) {
       "counters",        "gauges",
       "stage.criterion",
       "stage.links",     "stage.links.pack",
+      "stage.links.seed",
       "stage.merge",
       "stage.merge.heap",
       "stage.merge.relink",
@@ -435,6 +436,7 @@ TEST_F(CliTest, MetricsJsonGoldenSchema) {
       "graph.points",    "graph.edges",
       "graph.max_degree",
       "graph.threads",
+      "mem.graph.bytes",
       "prune.isolated_points",
       "links.nonzero_pairs",
       "links.total",
@@ -451,7 +453,7 @@ TEST_F(CliTest, MetricsJsonGoldenSchema) {
       "merge.relink_compactions",
       "merge.relink_best_rescans",
       "merge.compact_sweeps",
-      "mem.links.csr_bytes",
+      "mem.links.upper_bytes",
       "mem.merge.arena_peak_bytes",
       "weed.clusters",   "weed.points",
       "graph.average_degree",
@@ -461,6 +463,9 @@ TEST_F(CliTest, MetricsJsonGoldenSchema) {
       "decision.neighbors.dense_cost_s",
       "decision.neighbors.scan_cost_s",
       "decision.neighbors.pass",
+      "decision.links.scatter_ops",
+      "decision.links.plane_word_reads",
+      "decision.links.pass",
   };
   EXPECT_EQ(JsonKeys(json), expected);
 }

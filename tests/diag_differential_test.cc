@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -464,6 +465,61 @@ TEST(ParallelEngineEdgeCaseTest, DegenerateGraphsAgree) {
     opt.diag.invariant_check_every = 3;
     ExpectMatchesReference(sim, opt);
   }
+}
+
+// The production engine seeds its cluster rows straight from the link
+// pass's upper buffer, and Cluster() hands it the neighbor graph to free
+// before the seeding. At every graph thread count and both row chunks,
+// with min_neighbors pruning: the run matches the reference bit for bit,
+// checked runs (merge.seed_rows after the seeding) stay clean, and the
+// memory and link-decision metrics do not move with the schedule.
+// ClusterGraph borrows its graph and must leave it intact.
+TEST(ParallelEngineSeedingTest, SeededRowsAndMetricsAreScheduleFree) {
+  const uint64_t seed = 20261020;
+  ROCK_TRACE_SEED(seed);
+  TransactionDataset ds = RandomDataset(seed, 2);
+  TransactionJaccard sim(ds);
+  const char* const kStable[] = {
+      "mem.graph.bytes",           "mem.links.upper_bytes",
+      "mem.merge.arena_peak_bytes", "links.nonzero_pairs",
+      "links.total",               "decision.links.scatter_ops",
+      "decision.links.plane_word_reads"};
+  for (const size_t chunk : {1u, 16u}) {
+    // The upper buffer's chunk headers follow row_chunk, so each chunk
+    // size is compared across thread counts only.
+    std::optional<diag::RunMetrics> first;
+    for (const size_t threads : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << threads << " row_chunk=" << chunk);
+      RockOptions opt = ParallelGridOptions(0.5, threads, false);
+      opt.row_chunk = chunk;
+      opt.min_neighbors = 3;
+      RockResult unchecked;
+      ExpectMatchesReference(sim, opt, &unchecked);
+      EXPECT_GT(unchecked.stats.num_pruned_points, 0u);
+      const diag::RunMetrics& m = unchecked.metrics;
+      ASSERT_NE(m.FindTimer("stage.links.seed"), nullptr);
+      if (!first.has_value()) {
+        first = m;
+        continue;
+      }
+      for (const char* name : kStable) {
+        EXPECT_EQ(m.CounterOr(name), first->CounterOr(name)) << name;
+      }
+      EXPECT_EQ(m.gauges.at("decision.links.pass"),
+                first->gauges.at("decision.links.pass"));
+    }
+  }
+
+  auto graph = ComputeNeighbors(sim, 0.5);
+  ASSERT_TRUE(graph.ok());
+  const NeighborGraph copy = *graph;
+  RockOptions opt = ParallelGridOptions(0.5, 4, false);
+  opt.min_neighbors = 3;
+  auto borrowed = RockClusterer(opt).ClusterGraph(*graph);
+  ASSERT_TRUE(borrowed.ok());
+  EXPECT_EQ(borrowed->metrics.CounterOr("diag.invariant_violations"), 0u);
+  EXPECT_EQ(graph->nbrlist, copy.nbrlist);
 }
 
 // ------------------------------------------------- link-engine differential --

@@ -8,16 +8,19 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/pipeline.h"
 #include "core/rock.h"
 #include "data/disk_store.h"
 #include "diag/invariants.h"
 #include "diag/metrics.h"
+#include "graph/link_engine.h"
 #include "similarity/jaccard.h"
 #include "synth/basket_generator.h"
 #include "test_support.h"
@@ -331,12 +334,23 @@ TEST(DiagRockRunTest, MemoryMetricsSizeTheLinksAndTheArena) {
   auto result = RockClusterer(opt).Cluster(sim);
   ASSERT_TRUE(result.ok());
   const diag::RunMetrics& m = result->metrics;
-  ASSERT_TRUE(m.counters.count("mem.links.csr_bytes"));
+  ASSERT_TRUE(m.counters.count("mem.graph.bytes"));
+  ASSERT_TRUE(m.counters.count("mem.links.upper_bytes"));
   ASSERT_TRUE(m.counters.count("mem.merge.arena_peak_bytes"));
-  EXPECT_EQ(m.CounterOr("mem.links.csr_bytes"),
-            (ds.size() + 1) * sizeof(size_t) +
-                2 * m.CounterOr("links.nonzero_pairs") *
-                    (sizeof(PointIndex) + sizeof(LinkCount)));
+  // The neighbor lists: a header per point and a 4-byte id per directed
+  // edge, at least.
+  EXPECT_GE(m.CounterOr("mem.graph.bytes"),
+            ds.size() * sizeof(std::vector<PointIndex>) +
+                2 * m.CounterOr("graph.edges") * sizeof(PointIndex));
+  // The upper buffer holds each non-zero pair once, as a partner and a
+  // count, and a row end per point.
+  EXPECT_GE(m.CounterOr("mem.links.upper_bytes"),
+            m.CounterOr("links.nonzero_pairs") * sizeof(UpperLink) +
+                ds.size() * sizeof(uint32_t));
+  EXPECT_LT(m.CounterOr("mem.links.upper_bytes"),
+            2 * m.CounterOr("links.nonzero_pairs") *
+                    (sizeof(PointIndex) + sizeof(LinkCount)) +
+                (ds.size() + 1) * sizeof(size_t));
   const uint64_t entries = m.CounterOr("heap.local_entries_peak");
   EXPECT_GT(entries, 0u);
   EXPECT_GE(m.CounterOr("mem.merge.arena_peak_bytes"), 12 * entries);

@@ -14,8 +14,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -593,6 +595,171 @@ TEST(LinkEngineLazyRowsTest, StarRowsOnPackedMatrixMatchOracle) {
   }
   EXPECT_EQ(packed.FlatRow(0).size, 0u);  // the hub shares nobody
   EXPECT_EQ(packed.Count(0, 1), 0u);
+}
+
+// --------------------------------------------------------------- seeding --
+
+NeighborGraph ChainGraph(size_t n) {
+  // Path 0 − 1 − … − (n−1): link(i, i+2) = 1 and nothing else.
+  NeighborGraph g;
+  g.nbrlist.resize(n);
+  for (size_t i = 0; i + 1 < n; ++i) {
+    g.nbrlist[i].push_back(static_cast<PointIndex>(i + 1));
+    g.nbrlist[i + 1].push_back(static_cast<PointIndex>(i));
+  }
+  return g;
+}
+
+/// What the production merge seeds: CountUpperLinks, then the mirror into
+/// per-point rows that drop the pruned points' rows and partners. Checks
+/// the mirror's contract on the way — one layout call whose sizes are the
+/// full row sizes, and every put of a row in strictly ascending partner
+/// order.
+std::vector<std::vector<std::pair<PointIndex, LinkCount>>> SeedRows(
+    const NeighborGraph& graph, const PackedLinkOptions& opt,
+    const std::vector<uint8_t>& pruned, diag::MetricsRegistry* registry) {
+  PackedLinkOptions o = opt;
+  o.metrics = registry;
+  const UpperLinks upper = CountUpperLinks(graph, o);
+  std::vector<std::vector<std::pair<PointIndex, LinkCount>>> rows(
+      graph.size());
+  std::vector<uint32_t> layout_sizes;
+  std::vector<int64_t> last(graph.size(), -1);
+  std::vector<uint32_t> puts(graph.size(), 0);
+  size_t layouts = 0;
+  MirrorUpperLinks(
+      upper, opt.num_threads,
+      [&](const std::vector<uint32_t>& sizes) {
+        ++layouts;
+        layout_sizes = sizes;
+      },
+      [&](size_t p, PointIndex q, LinkCount count) {
+        EXPECT_LT(last[p], static_cast<int64_t>(q)) << "row " << p;
+        last[p] = q;
+        ++puts[p];
+        if (pruned[p] != 0 || pruned[q] != 0) return;
+        rows[p].emplace_back(q, count);
+      });
+  EXPECT_EQ(layouts, 1u);
+  EXPECT_EQ(layout_sizes, puts);
+  return rows;
+}
+
+// The seeded rows against the Fig. 4 reference: for every unpruned point,
+// its reference FlatRow without pruned partners, byte for byte; nothing
+// for a pruned point. Graph shapes × min_neighbors pruning × threads ×
+// row_chunk × both counting passes. The links.* and decision.links.*
+// metrics must not move with the thread count or the chunk size.
+TEST(LinkEngineMirrorTest, SeededRowsMatchReferenceFlatRows) {
+  struct Shape {
+    const char* name;
+    NeighborGraph graph;
+    size_t min_neighbors;
+  };
+  NeighborGraph star_iso = StarGraph(30);
+  star_iso.nbrlist.resize(36);  // isolated points, pruned at min_neighbors 1
+  Shape shapes[] = {
+      {"empty_graph", NeighborGraph{}, 1},
+      {"single_point", [] {
+         NeighborGraph g;
+         g.nbrlist.resize(1);
+         return g;
+       }(), 1},
+      {"star", StarGraph(70), 1},
+      {"star_prune_leaves", StarGraph(40), 2},
+      {"clique", CliqueGraph(65), 1},
+      {"chain", ChainGraph(90), 2},
+      {"star_plus_isolated", std::move(star_iso), 1},
+      {"random", RandomGraph(17, 0.4), 3},
+  };
+  for (Shape& s : shapes) {
+    SCOPED_TRACE(s.name);
+    const NeighborGraph& graph = s.graph;
+    std::vector<uint8_t> pruned(graph.size(), 0);
+    for (size_t p = 0; p < graph.size(); ++p) {
+      pruned[p] = graph.Degree(p) < s.min_neighbors ? 1 : 0;
+    }
+    const LinkMatrix reference = ComputeLinks(graph);
+    std::vector<std::vector<std::pair<PointIndex, LinkCount>>> want(
+        graph.size());
+    for (size_t p = 0; p < graph.size(); ++p) {
+      if (pruned[p] != 0) continue;
+      const LinkRowSpan row = reference.FlatRow(static_cast<PointIndex>(p));
+      for (size_t e = 0; e < row.size; ++e) {
+        if (pruned[row.partners[e]] == 0) {
+          want[p].emplace_back(row.partners[e], row.counts[e]);
+        }
+      }
+    }
+    for (const PackedLinkStrategy strategy :
+         {PackedLinkStrategy::kPlane, PackedLinkStrategy::kScatter}) {
+      std::optional<diag::RunMetrics> first;
+      for (const size_t threads : {1u, 2u, 4u, 8u}) {
+        for (const size_t chunk : {1u, 16u}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "scatter=" << (strategy == PackedLinkStrategy::kScatter)
+                       << " threads=" << threads << " row_chunk=" << chunk);
+          PackedLinkOptions opt;
+          opt.num_threads = threads;
+          opt.row_chunk = chunk;
+          opt.strategy = strategy;
+          diag::MetricsRegistry registry;
+          EXPECT_EQ(SeedRows(graph, opt, pruned, &registry), want);
+          const diag::RunMetrics m = registry.Snapshot();
+          EXPECT_EQ(m.CounterOr("links.pairs_counted"),
+                    reference.NumNonZeroPairs());
+          if (!first.has_value()) {
+            first = m;
+            continue;
+          }
+          for (const char* name :
+               {"links.pairs_counted", "links.candidate_pairs",
+                "links.span_words", "links.scatter_pass",
+                "decision.links.scatter_ops",
+                "decision.links.plane_word_reads"}) {
+            EXPECT_EQ(m.CounterOr(name), first->CounterOr(name)) << name;
+          }
+          EXPECT_EQ(m.gauges.count("decision.links.pass"),
+                    first->gauges.count("decision.links.pass"));
+          if (m.gauges.count("decision.links.pass") != 0) {
+            EXPECT_EQ(m.gauges.at("decision.links.pass"),
+                      first->gauges.at("decision.links.pass"));
+          }
+        }
+      }
+    }
+  }
+}
+
+// The upper buffer itself: each non-zero pair once, in ascending partner
+// order per row, with the reference's pair and link totals.
+TEST(LinkEngineMirrorTest, UpperBufferHoldsEachPairOnce) {
+  const NeighborGraph graph = RandomGraph(23, 0.35);
+  const LinkMatrix reference = ComputeLinks(graph);
+  for (const PackedLinkStrategy strategy :
+       {PackedLinkStrategy::kPlane, PackedLinkStrategy::kScatter}) {
+    PackedLinkOptions opt;
+    opt.num_threads = 4;
+    opt.row_chunk = 3;
+    opt.strategy = strategy;
+    const UpperLinks upper = CountUpperLinks(graph, opt);
+    EXPECT_EQ(upper.pairs, reference.NumNonZeroPairs());
+    EXPECT_EQ(upper.total, reference.TotalLinks());
+    for (size_t p = 0; p < graph.size(); ++p) {
+      const LinkRowSpan row = reference.FlatRow(static_cast<PointIndex>(p));
+      const PointIndex* first_upper =
+          std::upper_bound(row.partners, row.partners + row.size,
+                           static_cast<PointIndex>(p));
+      const size_t skip = static_cast<size_t>(first_upper - row.partners);
+      const auto got = upper.Row(p);
+      ASSERT_EQ(got.size(), row.size - skip) << "row " << p;
+      for (size_t e = 0; e < got.size(); ++e) {
+        EXPECT_EQ(got[e].partner, row.partners[skip + e]) << "row " << p;
+        EXPECT_EQ(got[e].count, row.counts[skip + e]) << "row " << p;
+      }
+    }
+    EXPECT_GE(upper.Bytes(), upper.pairs * sizeof(UpperLink));
+  }
 }
 
 // ------------------------------------------------------------------- fuzz --
